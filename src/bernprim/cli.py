@@ -27,11 +27,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
+    BernsteinPoly,
     EvaluationError,
-    RealFunction,
     basis_derivative,
     basis_eval,
     bernstein_approximant,
@@ -46,7 +46,7 @@ from .core import (
 from .expr import ParseError, parse, to_real_function
 from .quadrature import central_difference, simpson
 
-__all__ = ["main", "console_main", "build_parser", "ConvergenceReport", "REPORT_SCHEMA"]
+__all__ = ["main", "console_main", "build_parser", "REPORT_SCHEMA"]
 
 MAX_DEGREE = 100_000
 SUP_SAFETY = 1.01  # head-room factor on grid sup-norm estimates
@@ -83,56 +83,41 @@ REPORT_SCHEMA = {
 
 
 class UsageError(Exception):
-    """Bad flag combination or out-of-range argument."""
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Degree sweep of approximant and antiderivative sup errors."""
-
-    function_text: str
-    degrees: tuple[int, ...]
-    sup_errors_fn: tuple[float, ...]
-    sup_errors_Fn: tuple[float, ...]
-    empirical_rates: tuple[float, ...]
-
-    def table(self) -> list[list[float]]:
-        return [
-            [float(n), self.sup_errors_fn[i], self.sup_errors_Fn[i]]
-            for i, n in enumerate(self.degrees)
-        ]
+    """An argument that is valid on its own asks for more than the tool supports."""
 
 
 IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_central_moment"]
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
-_ZERO_POLY = {"degree": 0, "coeffs": [0.0]}
 
 
 def _sample_grid(count: int) -> list[float]:
     return [i / (count - 1) for i in range(count)]
 
 
-def _check_degree(n: int, flag: str = "--n") -> int:
-    if n < 1:
-        raise UsageError(f"{flag} must be >= 1, got {n}")
-    if n > MAX_DEGREE:
-        raise UsageError(f"{flag} must be <= {MAX_DEGREE}, got {n}")
-    return n
-
-
-def _parse_function(text: str, lipschitz: float | None = None) -> RealFunction:
-    return to_real_function(parse(text), lipschitz=lipschitz)
+def _report(
+    args: argparse.Namespace,
+    params: dict,
+    poly: BernsteinPoly,
+    table: list[list[float]],
+    summary: dict,
+) -> dict:
+    """The report every subcommand emits; see REPORT_SCHEMA."""
+    return {
+        "command": args.command,
+        "expr": getattr(args, "expr", ""),
+        "params": params,
+        "poly": poly.to_dict(),
+        "table": table,
+        "summary": summary,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_approx(args: argparse.Namespace) -> tuple[dict, int]:
-    _check_degree(args.n)
-    if args.samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    f = _parse_function(args.expr)
+def cmd_approx(args: argparse.Namespace) -> dict:
+    f = to_real_function(parse(args.expr))
     fn = bernstein_approximant(f, args.n)
     rows = []
     for x in _sample_grid(args.samples):
@@ -140,28 +125,16 @@ def cmd_approx(args: argparse.Namespace) -> tuple[dict, int]:
         approx = eval_poly(fn, x)
         rows.append([x, exact, approx, abs(exact - approx)])
     max_error = max(row[3] for row in rows)
-    report = {
-        "command": "approx",
-        "expr": args.expr,
-        "params": {
-            "n": args.n,
-            "samples": args.samples,
-            "columns": ["x", "f", "f_n", "abs_error"],
-        },
-        "poly": fn.to_dict(),
-        "table": rows,
-        "summary": {"max_error": max_error, "passed": True},
+    params = {
+        "n": args.n,
+        "samples": args.samples,
+        "columns": ["x", "f", "f_n", "abs_error"],
     }
-    return report, 0
+    return _report(args, params, fn, rows, {"max_error": max_error, "passed": True})
 
 
-def cmd_primitive(args: argparse.Namespace) -> tuple[dict, int]:
-    _check_degree(args.n)
-    if args.samples < 2:
-        raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    if args.fd_h <= 0:
-        raise UsageError(f"--fd-h must be positive, got {args.fd_h}")
-    f = _parse_function(args.expr)
+def cmd_primitive(args: argparse.Namespace) -> dict:
+    f = to_real_function(parse(args.expr))
     fn_primitive = primitive_approximant(f, args.n)
     rows = []
     for x in _sample_grid(args.samples):
@@ -175,25 +148,19 @@ def cmd_primitive(args: argparse.Namespace) -> tuple[dict, int]:
         for x in _sample_grid(args.samples)
         if x - h >= 0.0 and x + h <= 1.0
     ]
-    report = {
-        "command": "primitive",
-        "expr": args.expr,
-        "params": {
-            "n": args.n,
-            "samples": args.samples,
-            "panels": args.panels,
-            "fd_h": args.fd_h,
-            "columns": ["x", "F_n", "simpson_oracle", "abs_difference"],
-        },
-        "poly": fn_primitive.to_dict(),
-        "table": rows,
-        "summary": {
-            "max_error": max_error,
-            "passed": True,
-            "derivative_check_max": max(deriv_residuals) if deriv_residuals else 0.0,
-        },
+    params = {
+        "n": args.n,
+        "samples": args.samples,
+        "panels": args.panels,
+        "fd_h": args.fd_h,
+        "columns": ["x", "F_n", "simpson_oracle", "abs_difference"],
     }
-    return report, 0
+    summary = {
+        "max_error": max_error,
+        "passed": True,
+        "derivative_check_max": max(deriv_residuals) if deriv_residuals else 0.0,
+    }
+    return _report(args, params, fn_primitive, rows, summary)
 
 
 def _identity_residual(index: int, rng: random.Random, n_max: int, grid: int) -> float:
@@ -212,10 +179,7 @@ def _identity_residual(index: int, rng: random.Random, n_max: int, grid: int) ->
     return abs(moment_sum(n, x, "second_central") - n * x * (1.0 - x)) / n
 
 
-def cmd_identities(args: argparse.Namespace) -> tuple[dict, int]:
-    _check_degree(args.n_max, "--n-max")
-    if not 3 <= args.grid <= MAX_DEGREE + 1:
-        raise UsageError(f"--grid must lie in [3, {MAX_DEGREE + 1}], got {args.grid}")
+def cmd_identities(args: argparse.Namespace) -> dict:
     rng = random.Random(args.seed)
     rows = []
     for index, tolerance in enumerate(IDENTITY_TOLERANCES):
@@ -223,90 +187,47 @@ def cmd_identities(args: argparse.Namespace) -> tuple[dict, int]:
             _identity_residual(index, rng, args.n_max, args.grid) for _ in range(args.grid)
         )
         rows.append([float(index), worst, tolerance, 1.0 if worst < tolerance else 0.0])
-    passed = all(row[3] == 1.0 for row in rows)
-    report = {
-        "command": "identities",
-        "expr": "",
-        "params": {
-            "n_max": args.n_max,
-            "grid": args.grid,
-            "seed": args.seed,
-            "draws_per_identity": args.grid,
-            "identities": IDENTITY_NAMES,
-            "columns": ["identity_index", "max_residual", "tolerance", "passed"],
-        },
-        "poly": dict(_ZERO_POLY),
-        "table": rows,
-        "summary": {"max_error": max(row[1] for row in rows), "passed": passed},
+    params = {
+        "n_max": args.n_max,
+        "grid": args.grid,
+        "seed": args.seed,
+        "draws_per_identity": args.grid,
+        "identities": IDENTITY_NAMES,
+        "columns": ["identity_index", "max_residual", "tolerance", "passed"],
     }
-    return report, 0 if passed else 1
+    summary = {
+        "max_error": max(row[1] for row in rows),
+        "passed": all(row[3] == 1.0 for row in rows),
+    }
+    return _report(args, params, BernsteinPoly(0, (0.0,)), rows, summary)
 
 
-def cmd_converge(args: argparse.Namespace) -> tuple[dict, int]:
-    degrees = args.degrees
-    if not degrees:
-        raise UsageError("--degrees must list at least one degree")
-    for n in degrees:
-        _check_degree(n, "--degrees")
-    if any(b <= a for a, b in zip(degrees, degrees[1:])):
-        raise UsageError("--degrees must be strictly increasing")
-    f = _parse_function(args.expr)
+def cmd_converge(args: argparse.Namespace) -> dict:
+    f = to_real_function(parse(args.expr))
     grid = _sample_grid(args.grid)
     oracle = [simpson(f, x, args.panels).value for x in grid]
-    errors_fn = []
-    errors_Fn = []
-    final_poly = None
-    for n in degrees:
+    table = []
+    for n in args.degrees:
         fn = bernstein_approximant(f, n)
         values = poly_values(primitive_approximant(f, n), grid)
-        errors_fn.append(sup_norm_distance(fn, f, args.grid).value)
-        errors_Fn.append(float(max(abs(v - o) for v, o in zip(values, oracle))))
-        final_poly = fn
-    rates = []
-    for (n_a, e_a), (n_b, e_b) in zip(
-        zip(degrees, errors_fn), zip(degrees[1:], errors_fn[1:])
-    ):
-        if e_a > 0.0 and e_b > 0.0:
-            rates.append(math.log(e_a / e_b) / math.log(n_b / n_a))
-        else:
-            rates.append(0.0)
-    result = ConvergenceReport(
-        function_text=args.expr,
-        degrees=tuple(degrees),
-        sup_errors_fn=tuple(errors_fn),
-        sup_errors_Fn=tuple(errors_Fn),
-        empirical_rates=tuple(rates),
-    )
-    report = {
-        "command": "converge",
-        "expr": result.function_text,
-        "params": {
-            "degrees": list(degrees),
-            "grid": args.grid,
-            "panels": args.panels,
-            "columns": ["degree", "sup_error_fn", "sup_error_Fn"],
-        },
-        "poly": final_poly.to_dict(),
-        "table": result.table(),
-        "summary": {
-            "max_error": errors_fn[-1],
-            "passed": True,
-            "empirical_rates": list(result.empirical_rates),
-        },
+        error_fn = sup_norm_distance(fn, f, args.grid).value
+        table.append([float(n), error_fn, float(max(abs(v - o) for v, o in zip(values, oracle)))])
+    rates = [
+        math.log(e_a / e_b) / math.log(n_b / n_a) if e_a > 0.0 and e_b > 0.0 else 0.0
+        for (n_a, e_a, _), (n_b, e_b, _) in zip(table, table[1:])
+    ]
+    params = {
+        "degrees": args.degrees,
+        "grid": args.grid,
+        "panels": args.panels,
+        "columns": ["degree", "sup_error_fn", "sup_error_Fn"],
     }
-    return report, 0
+    summary = {"max_error": table[-1][1], "passed": True, "empirical_rates": rates}
+    return _report(args, params, fn, table, summary)
 
 
-def cmd_bound(args: argparse.Namespace) -> tuple[dict, int]:
-    if (args.delta is None) == (args.lipschitz is None):
-        raise UsageError("provide exactly one of --delta or --lipschitz")
-    if args.eps is None or args.eps <= 0:
-        raise UsageError("--eps must be a positive real")
-    if args.delta is not None and not 0.0 < args.delta <= 1.0:
-        raise UsageError(f"--delta must lie in (0, 1], got {args.delta}")
-    if args.lipschitz is not None and args.lipschitz <= 0:
-        raise UsageError(f"--lipschitz must be positive, got {args.lipschitz}")
-    f = _parse_function(args.expr, lipschitz=args.lipschitz)
+def cmd_bound(args: argparse.Namespace) -> dict:
+    f = to_real_function(parse(args.expr))
     sup_estimate = sup_norm_distance(f, lambda _x: 0.0, args.grid)
     sup_used = SUP_SAFETY * sup_estimate.value
     delta = args.delta if args.delta is not None else lipschitz_delta(args.lipschitz, args.eps)
@@ -320,30 +241,23 @@ def cmd_bound(args: argparse.Namespace) -> tuple[dict, int]:
         )
     fn = bernstein_approximant(f, degree)
     measured = sup_norm_distance(fn, f, args.grid).value
-    passed = measured < args.eps
-    report = {
-        "command": "bound",
-        "expr": args.expr,
-        "params": {
-            "eps": args.eps,
-            "delta_flag": args.delta,
-            "lipschitz": args.lipschitz,
-            "grid": args.grid,
-            "sup_safety": SUP_SAFETY,
-            "columns": ["eps", "delta", "required_degree", "measured_sup_error"],
-        },
-        "poly": fn.to_dict(),
-        "table": [[args.eps, delta, float(degree), measured]],
-        "summary": {
-            "max_error": measured,
-            "passed": passed,
-            "delta": delta,
-            "sup_norm_estimate": sup_estimate.value,
-            "sup_bound_used": sup_used,
-            "required_degree": degree,
-        },
+    params = {
+        "eps": args.eps,
+        "delta_flag": args.delta,
+        "lipschitz": args.lipschitz,
+        "grid": args.grid,
+        "sup_safety": SUP_SAFETY,
+        "columns": ["eps", "delta", "required_degree", "measured_sup_error"],
     }
-    return report, 0 if passed else 1
+    summary = {
+        "max_error": measured,
+        "passed": measured < args.eps,
+        "delta": delta,
+        "sup_norm_estimate": sup_estimate.value,
+        "sup_bound_used": sup_used,
+        "required_degree": degree,
+    }
+    return _report(args, params, fn, [[args.eps, delta, float(degree), measured]], summary)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +281,56 @@ def _emit(report: dict, emit: str) -> str:
     return _emit_csv(report)
 
 
+# ---------------------------------------------------------------------------
+# Argument types: every flag is range-checked here, at parse time, so a bad
+# value exits 2 with argparse's usage message before any work starts.
+
+
+def _checked(convert: Callable[[str], float], accept: Callable, wanted: str) -> Callable:
+    """An argparse type: convert the text, then reject values accept() refuses."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return check
+
+
+def _int_in(lo: int, hi: float = math.inf, even: bool = False) -> Callable[[str], int]:
+    """An integer in [lo, hi], optionally only even ones."""
+    kind = "an even integer" if even else "an integer"
+    return _checked(
+        int, lambda v: lo <= v <= hi and not (even and v % 2), f"{kind} in [{lo}, {hi}]"
+    )
+
+
+def _real_in(hi: float = math.inf) -> Callable[[str], float]:
+    """A finite real in (0, hi]; nan and inf are rejected."""
+    return _checked(
+        float, lambda v: 0.0 < v <= hi and math.isfinite(v), f"a finite real in (0, {hi}]"
+    )
+
+
+_degree = _int_in(1, MAX_DEGREE)
+_count = _int_in(2)
+_panels = _int_in(2, even=True)
+
+
+def _degree_list(text: str) -> list[int]:
+    """An argparse type for a comma-separated, strictly increasing list of degrees."""
+    degrees = [_degree(part) for part in text.split(",") if part]
+    if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise argparse.ArgumentTypeError(
+            f"must list at least one degree, strictly increasing, got {text!r}"
+        )
+    return degrees
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernprim",
@@ -374,53 +338,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add(name: str, run: Callable, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--emit", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to this file")
+        p.set_defaults(run=run)
+        return p
 
-    p_approx = sub.add_parser("approx", help="evaluate the Bernstein approximant of --expr")
+    p_approx = add("approx", cmd_approx, "evaluate the Bernstein approximant of --expr")
     p_approx.add_argument("--expr", required=True)
-    p_approx.add_argument("--n", type=int, required=True)
-    p_approx.add_argument("--samples", type=int, default=11)
-    add_common(p_approx)
-    p_approx.set_defaults(run=cmd_approx)
+    p_approx.add_argument("--n", type=_degree, required=True)
+    p_approx.add_argument("--samples", type=_count, default=11)
 
-    p_prim = sub.add_parser("primitive", help="build the polynomial antiderivative of --expr")
+    p_prim = add("primitive", cmd_primitive, "build the polynomial antiderivative of --expr")
     p_prim.add_argument("--expr", required=True)
-    p_prim.add_argument("--n", type=int, required=True)
-    p_prim.add_argument("--samples", type=int, default=11)
-    p_prim.add_argument("--panels", type=int, default=256)
-    p_prim.add_argument("--fd-h", type=float, default=1e-5, dest="fd_h")
-    add_common(p_prim)
-    p_prim.set_defaults(run=cmd_primitive)
+    p_prim.add_argument("--n", type=_degree, required=True)
+    p_prim.add_argument("--samples", type=_count, default=11)
+    p_prim.add_argument("--panels", type=_panels, default=256)
+    p_prim.add_argument("--fd-h", type=_real_in(), default=1e-5, dest="fd_h")
 
-    p_ident = sub.add_parser("identities", help="spot-check the basis identities")
-    p_ident.add_argument("--n-max", type=int, default=200, dest="n_max")
-    p_ident.add_argument("--grid", type=int, default=101)
-    p_ident.add_argument("--seed", type=int, default=None)
-    add_common(p_ident)
-    p_ident.set_defaults(run=cmd_identities)
+    p_ident = add("identities", cmd_identities, "spot-check the basis identities")
+    p_ident.add_argument("--n-max", type=_degree, default=200, dest="n_max")
+    p_ident.add_argument("--grid", type=_int_in(3, MAX_DEGREE + 1), default=101)
+    # A string default goes through type=int like an argv value, so a bad
+    # BERN_SEED is a usage error too.
+    p_ident.add_argument("--seed", type=int, default=os.environ.get("BERN_SEED", "0"))
 
-    p_conv = sub.add_parser("converge", help="sweep degrees and report sup errors")
+    p_conv = add("converge", cmd_converge, "sweep degrees and report sup errors")
     p_conv.add_argument("--expr", required=True)
-    p_conv.add_argument(
-        "--degrees",
-        required=True,
-        type=lambda text: [int(part) for part in text.split(",") if part],
-    )
-    p_conv.add_argument("--grid", type=int, default=1001)
-    p_conv.add_argument("--panels", type=int, default=256)
-    add_common(p_conv)
-    p_conv.set_defaults(run=cmd_converge)
+    p_conv.add_argument("--degrees", type=_degree_list, required=True)
+    p_conv.add_argument("--grid", type=_count, default=1001)
+    p_conv.add_argument("--panels", type=_panels, default=256)
 
-    p_bound = sub.add_parser("bound", help="degree sufficient for a target sup error")
+    p_bound = add("bound", cmd_bound, "degree sufficient for a target sup error")
     p_bound.add_argument("--expr", required=True)
-    p_bound.add_argument("--eps", type=float, required=True)
-    p_bound.add_argument("--delta", type=float, default=None)
-    p_bound.add_argument("--lipschitz", type=float, default=None)
-    p_bound.add_argument("--grid", type=int, default=1001)
-    add_common(p_bound)
-    p_bound.set_defaults(run=cmd_bound)
+    p_bound.add_argument("--eps", type=_real_in(), required=True)
+    step = p_bound.add_mutually_exclusive_group(required=True)
+    step.add_argument("--delta", type=_real_in(1.0), default=None)
+    step.add_argument("--lipschitz", type=_real_in(), default=None)
+    p_bound.add_argument("--grid", type=_count, default=1001)
 
     return parser
 
@@ -431,37 +387,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is None and args.command == "identities":
-        args.seed = int(os.environ.get("BERN_SEED", "0"))
-    if getattr(args, "grid", None) is not None and args.command != "identities":
-        if args.grid < 2:
-            print("usage error: --grid must be >= 2", file=sys.stderr)
-            return 2
-    if getattr(args, "panels", None) is not None:
-        if args.panels < 2 or args.panels % 2:
-            print("usage error: --panels must be an even number >= 2", file=sys.stderr)
-            return 2
     try:
-        report, code = args.run(args)
+        report = args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except EvaluationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (EvaluationError, OverflowError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     text = _emit(report, args.emit)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
-    return code
+    return 0 if report["summary"]["passed"] else 1
 
 
 def console_main() -> None:

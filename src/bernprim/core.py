@@ -109,24 +109,17 @@ class BernsteinPoly:
 
 @dataclass(frozen=True)
 class RealFunction:
-    """A real-valued function on [0, 1] with optional analytic metadata.
+    """A real-valued function on [0, 1].
 
     The evaluator is probed on a uniform grid at construction time so that
     a broken definition fails loudly up front rather than deep inside a
-    degree-1000 sweep.  ``sup_bound`` and ``lipschitz``, when given, are
-    trusted metadata used by the degree-bound machinery.
+    degree-1000 sweep.
     """
 
     evaluator: Callable[[float], float]
-    sup_bound: float | None = None
-    lipschitz: float | None = None
     probe_points: int = 257
 
     def __post_init__(self) -> None:
-        if self.sup_bound is not None:
-            _check_positive(self.sup_bound, "sup_bound")
-        if self.lipschitz is not None:
-            _check_positive(self.lipschitz, "lipschitz")
         if self.probe_points < 2:
             raise ValueError("probe_points must be >= 2")
         denom = self.probe_points - 1
@@ -354,7 +347,7 @@ def poly_values(p: BernsteinPoly, xs: Sequence[float]) -> np.ndarray:
     grid = np.asarray(xs, dtype=float)
     if grid.ndim != 1:
         raise ValueError("xs must be one-dimensional")
-    if grid.size and (grid.min() < 0.0 or grid.max() > 1.0):
+    if grid.size and not (0.0 <= grid.min() and grid.max() <= 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     beta = np.broadcast_to(np.asarray(p.coeffs, dtype=float), (grid.size, p.degree + 1)).copy()
     weight = grid[:, None]

@@ -10,7 +10,8 @@ The accepted grammar, with ^ binding tightest and right-associative:
 
 The only variable is x.  Function names are fixed: sin, cos, exp, log,
 sqrt and abs take one argument, min and max take two.  Parse failures
-raise ParseError with a stable message carrying a 1-based byte offset.
+raise ParseError with a stable message carrying a 1-based byte offset;
+so does an expression nested deeper than 100 levels.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .core import EvaluationError, RealFunction
 
@@ -135,10 +136,22 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest nesting parse() accepts, counting both the parser's own recursion
+# (parentheses, unary minus, ^ and calls) and the height of the tree, which
+# a chain such as x+x+...+x grows without any recursion.  eval_ast, to_text
+# and tree equality walk the tree recursively, and a nested call costs the
+# parser six frames a level, so this keeps every walk well inside Python's
+# default limit of 1000 frames.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each parse_* method returns (tree, tree height)."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # recursion depth of the descent in progress
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -159,67 +172,88 @@ class _Parser:
         token = self.peek()
         return token.kind == "op" and token.text in ops
 
-    def parse_expr(self) -> ExprAst:
-        node = self.parse_term()
+    def check_depth(self, token: _Token, depth: int) -> int:
+        if depth > _MAX_DEPTH:
+            message = f"expression nests deeper than {_MAX_DEPTH} levels"
+            raise ParseError(token.offset, f"parse error at byte {token.offset}: {message}")
+        return depth
+
+    def descend(
+        self, token: _Token, parse: Callable[[], tuple[ExprAst, int]]
+    ) -> tuple[ExprAst, int]:
+        self.depth = self.check_depth(token, self.depth + 1)
+        result = parse()
+        self.depth -= 1
+        return result
+
+    def build(self, token: _Token, node: ExprAst, *heights: int) -> tuple[ExprAst, int]:
+        return node, self.check_depth(token, 1 + max(heights))
+
+    def parse_expr(self) -> tuple[ExprAst, int]:
+        node, height = self.parse_term()
         while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_term())
-        return node
+            token = self.advance()
+            right, right_height = self.parse_term()
+            node, height = self.build(token, Binary(token.text, node, right), height, right_height)
+        return node, height
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[ExprAst, int]:
+        node, height = self.parse_factor()
         while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_factor())
-        return node
+            token = self.advance()
+            right, right_height = self.parse_factor()
+            node, height = self.build(token, Binary(token.text, node, right), height, right_height)
+        return node, height
 
-    def parse_factor(self) -> ExprAst:
-        node = self.parse_base()
+    def parse_factor(self) -> tuple[ExprAst, int]:
+        node, height = self.parse_base()
         if self.at_op("^"):
-            self.advance()
-            node = Binary("^", node, self.parse_factor())  # right-associative
-        return node
+            token = self.advance()
+            right, right_height = self.descend(token, self.parse_factor)  # right-associative
+            node, height = self.build(token, Binary("^", node, right), height, right_height)
+        return node, height
 
-    def parse_base(self) -> ExprAst:
+    def parse_base(self) -> tuple[ExprAst, int]:
         token = self.peek()
         if self.at_op("-"):
             self.advance()
-            return Unary("-", self.parse_base())
+            operand, height = self.descend(token, self.parse_base)
+            return self.build(token, Unary("-", operand), height)
         if token.kind == "number":
             self.advance()
-            return Const(float(token.text))
+            return Const(float(token.text)), 1
         if self.at_op("("):
             self.advance()
-            node = self.parse_expr()
+            result = self.descend(token, self.parse_expr)
             self.expect_op(")")
-            return node
+            return result
         if token.kind == "ident":
             if token.text == "x":
                 self.advance()
-                return Var()
+                return Var(), 1
             return self.parse_call(token)
         raise _syntax_error(token.offset, _BASE_EXPECTED, token.describe())
 
-    def parse_call(self, name_token: _Token) -> ExprAst:
+    def parse_call(self, name_token: _Token) -> tuple[ExprAst, int]:
         name = name_token.text
         if name not in UNARY_FUNCTIONS and name not in BINARY_FUNCTIONS:
             raise _unknown_identifier(name_token.offset, name)
         self.advance()
         self.expect_op("(")
-        first = self.parse_expr()
+        args = [self.descend(name_token, self.parse_expr)]
         if name in BINARY_FUNCTIONS:
             self.expect_op(",")
-            second = self.parse_expr()
-            self.expect_op(")")
-            return Call(name, (first, second))
+            args.append(self.descend(name_token, self.parse_expr))
         self.expect_op(")")
-        return Call(name, (first,))
+        return self.build(
+            name_token, Call(name, tuple(arg for arg, _ in args)), *(height for _, height in args)
+        )
 
 
 def parse(text: str) -> ExprAst:
     """Parse an expression in x, or raise ParseError with a byte offset."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise _syntax_error(trailing.offset, "end of input", trailing.describe())
@@ -328,16 +362,6 @@ def eval_ast(node: ExprAst, x: float) -> float:
     return _eval(node, x)
 
 
-def to_real_function(
-    node: ExprAst,
-    sup_bound: float | None = None,
-    lipschitz: float | None = None,
-    probe_points: int = 257,
-) -> RealFunction:
+def to_real_function(node: ExprAst, probe_points: int = 257) -> RealFunction:
     """Wrap a parsed tree as a RealFunction, probing it on a uniform grid."""
-    return RealFunction(
-        evaluator=lambda x: eval_ast(node, x),
-        sup_bound=sup_bound,
-        lipschitz=lipschitz,
-        probe_points=probe_points,
-    )
+    return RealFunction(evaluator=lambda x: eval_ast(node, x), probe_points=probe_points)

@@ -229,14 +229,10 @@ class TestRealFunction:
 
     def test_metadata_validation(self):
         with pytest.raises(ValueError):
-            RealFunction(lambda x: x, sup_bound=0.0)
-        with pytest.raises(ValueError):
-            RealFunction(lambda x: x, lipschitz=-1.0)
-        with pytest.raises(ValueError):
             RealFunction(lambda x: x, probe_points=1)
 
     def test_call_checks_domain(self):
-        f = RealFunction(lambda x: x, sup_bound=1.0, lipschitz=1.0)
+        f = RealFunction(lambda x: x)
         assert f(0.5) == 0.5
         with pytest.raises(ValueError):
             f(-0.2)

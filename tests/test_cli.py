@@ -4,11 +4,20 @@ and byte-frozen golden outputs for every subcommand.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bernprim
 from bernprim.cli import REPORT_SCHEMA, main
 from cli_cases import GOLDEN_CASES, golden_path
 
@@ -70,6 +79,11 @@ class TestExitCodes:
             ["converge", "--expr", "x", "--degrees", "5,10", "--panels", "7"],
             ["identities", "--grid", "2"],
             ["primitive", "--expr", "x", "--n", "3", "--fd-h", "0"],
+            ["primitive", "--expr", "x", "--n", "3", "--fd-h", "nan"],
+            ["primitive", "--expr", "x", "--n", "3", "--fd-h", "inf"],
+            ["bound", "--expr", "x", "--eps", "nan", "--lipschitz", "1"],
+            ["bound", "--expr", "x", "--eps", "inf", "--lipschitz", "1"],
+            ["bound", "--expr", "x", "--eps", "0.1", "--lipschitz", "nan"],
         ],
     )
     def test_usage_errors_are_two(self, capsys, argv):
@@ -77,6 +91,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 3000 + "x" + ")" * 3000,
+            "-" * 1000 + "x",
+            "^".join(["x"] * 1000),
+            "+".join(["x"] * 990),
+        ],
+        ids=["parentheses", "unary-minus", "power-chain", "flat-sum"],
+    )
+    def test_deep_expressions_are_parse_errors(self, capsys, expr):
+        code, out, err = run_cli(capsys, ["approx", f"--expr={expr}", "--n", "4"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error at byte ")
 
     def test_argparse_failures_are_two(self, capsys):
         assert run_cli(capsys, ["no-such-command"])[0] == 2
@@ -249,6 +279,13 @@ class TestSeeding:
         report = run_json(capsys, self.IDENT)
         assert report["params"]["seed"] == 11
 
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BERN_SEED", "abc")
+        code, out, err = run_cli(capsys, self.IDENT)
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
 
 class TestGoldens:
     @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
@@ -271,6 +308,119 @@ class TestOutputFile:
         report = json.loads(target.read_text(encoding="utf-8"))
         assert report["command"] == "approx"
 
+    def test_out_into_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            capsys,
+            ["approx", "--expr", "x", "--n", "3", "--out", str(target)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert not target.exists()
+
     def test_deterministic_across_runs(self, capsys):
         argv = ["converge", "--expr", "exp(x)", "--degrees", "3,6,12", "--grid", "31", "--panels", "16"]
         assert run_cli(capsys, argv) == run_cli(capsys, argv)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(bernprim.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "bernprim", "identities", "--n-max", "5", "--grid", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["command"] == "identities"
+
+
+# Argv fuzzing.  Each flag has argv fragments that argparse accepts and
+# fragments it must reject; an argv takes at most one rejected fragment, so
+# that most draws run a subcommand.  100001 is drawn only for degree flags,
+# where it exceeds MAX_DEGREE; as a sample or grid count it is valid and
+# slow.  --grid (converge, bound) and --panels (converge) are never
+# omitted, because their defaults cost up to a second per run.
+_BAD = ["nan", "inf", "-1", "0", "abc"]
+_DEEP = [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 1000 + "x",
+    "^".join(["x"] * 1000),
+    "+".join(["x"] * 990),
+]
+_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "log(x)", "1/(x - 0.5)", "x^^2", "", *_DEEP]
+
+
+def _flag(flag, good, bad=_BAD, omitted="good"):
+    """(accepted, rejected) argv fragments; omitted names the list that gets []."""
+    fragments = {"good": [[f"{flag}={v}"] for v in good], "bad": [[f"{flag}={v}"] for v in bad]}
+    if omitted:
+        fragments[omitted].append([])
+    return fragments["good"], fragments["bad"]
+
+
+_EXPR = _flag("--expr", _EXPRS, [], omitted="bad")
+_DEGREE = _flag("--n", ["1", "8", "65"], ["100001", *_BAD], omitted="bad")
+_SAMPLES = _flag("--samples", ["2", "5", "11"])
+_PANELS = _flag("--panels", ["2", "8", "64"], ["7", *_BAD], omitted=None)
+_GRID = _flag("--grid", ["2", "21", "101"], ["1", *_BAD], omitted=None)
+_EMIT = _flag("--emit", ["json", "csv"], ["xml"])
+_STEP = (
+    [["--delta=0.5"], ["--delta=1"], ["--lipschitz=1"]],
+    [[], ["--delta=0.5", "--lipschitz=1"], ["--delta=1.5"], ["--delta=nan"], ["--lipschitz=0"],
+     ["--lipschitz=nan"], ["--lipschitz=inf"]],
+)
+_FLAGS = {
+    "approx": [_EXPR, _DEGREE, _SAMPLES, _EMIT],
+    "primitive": [_EXPR, _DEGREE, _SAMPLES, _PANELS, _flag("--fd-h", ["1e-5", "0.25", "2"]), _EMIT],
+    "identities": [
+        _flag("--n-max", ["1", "8", "65"], ["100001", *_BAD]),
+        _flag("--grid", ["3", "11", "101"], ["2", *_BAD]),
+        _flag("--seed", ["0", "7", "-3"], ["abc", "1.5"]),
+        _EMIT,
+    ],
+    "converge": [
+        _EXPR,
+        _flag("--degrees", ["4,8", "1,65", "8"], ["8,4", ",", "4,100001", *_BAD], omitted="bad"),
+        _GRID,
+        _PANELS,
+        _EMIT,
+    ],
+    "bound": [_EXPR, _flag("--eps", ["0.04", "0.5", "100001"]), _STEP, _GRID, _EMIT],
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    rejected = draw(st.one_of(st.none(), st.sampled_from(range(len(flags)))))
+    argv = [command]
+    for index, (good, bad) in enumerate(flags):
+        argv += draw(st.sampled_from(bad if index == rejected else good))
+    return argv
+
+
+def _summary(out: str, argv: list[str]) -> dict:
+    if "--emit=csv" not in argv:
+        return json.loads(out)["summary"]
+    line = next(line for line in out.splitlines() if line.startswith("# summary: "))
+    return json.loads(line[len("# summary: "):])
+
+
+class TestArgvFuzz:
+    @given(argv=_argvs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_every_argv_gets_a_report_or_an_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            assert _summary(out.getvalue(), argv)["passed"] is (code == 0)
+        else:
+            assert out.getvalue() == ""

@@ -252,10 +252,8 @@ class TestProperties:
 
 class TestToRealFunction:
     def test_wraps_and_probes(self):
-        f = to_real_function(parse("x^2"), sup_bound=1.0, lipschitz=2.0)
+        f = to_real_function(parse("x^2"))
         assert f(0.5) == 0.25
-        assert f.sup_bound == 1.0
-        assert f.lipschitz == 2.0
 
     def test_probe_catches_bad_expressions(self):
         with pytest.raises(EvaluationError, match="probe"):

@@ -105,8 +105,9 @@ class TestPolyValues:
         assert poly_values(poly, np.array([0.0, 0.5, 1.0])).shape == (3,)
         with pytest.raises(ValueError):
             poly_values(poly, np.array([[0.0, 0.5]]))
-        with pytest.raises(ValueError):
-            poly_values(poly, np.array([0.0, 1.5]))
+        for outside in ([0.0, 1.5], [-0.5, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                poly_values(poly, np.array(outside))
 
 
 class TestDerivativePoly:
