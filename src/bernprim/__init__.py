@@ -21,7 +21,7 @@ from .core import (
     sup_norm_distance,
 )
 from .expr import ParseError, eval_ast, parse, to_real_function, to_text
-from .quadrature import QuadratureResult, central_difference, riemann_sum, simpson
+from .quadrature import central_difference, riemann_sum, simpson
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "BernsteinPoly",
     "EvaluationError",
     "ParseError",
-    "QuadratureResult",
     "RealFunction",
     "SupNormEstimate",
     "basis_all",

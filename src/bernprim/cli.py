@@ -139,7 +139,7 @@ def cmd_primitive(args: argparse.Namespace) -> dict:
     rows = []
     for x in _sample_grid(args.samples):
         value = eval_poly(fn_primitive, x)
-        oracle = simpson(f, x, args.panels).value
+        oracle = simpson(f, x, args.panels)
         rows.append([x, value, oracle, abs(value - oracle)])
     max_error = max(row[3] for row in rows)
     h = args.fd_h
@@ -205,7 +205,7 @@ def cmd_identities(args: argparse.Namespace) -> dict:
 def cmd_converge(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     grid = _sample_grid(args.grid)
-    oracle = [simpson(f, x, args.panels).value for x in grid]
+    oracle = [simpson(f, x, args.panels) for x in grid]
     table = []
     for n in args.degrees:
         fn = bernstein_approximant(f, n)
@@ -231,10 +231,13 @@ def cmd_bound(args: argparse.Namespace) -> dict:
     sup_estimate = sup_norm_distance(f, lambda _x: 0.0, args.grid)
     sup_used = SUP_SAFETY * sup_estimate.value
     delta = args.delta if args.delta is not None else lipschitz_delta(args.lipschitz, args.eps)
-    if sup_used == 0.0:
-        degree = 1  # the zero function is reproduced at any degree
-    else:
-        degree = required_degree(sup_used, args.eps, delta)
+    try:
+        # The zero function is reproduced at any degree.
+        degree = 1 if sup_used == 0.0 else required_degree(sup_used, args.eps, delta)
+    except (ArithmeticError, ValueError):
+        # 4 * sup / (eps * delta^2) is beyond float range: delta or
+        # eps * delta^2 underflowed to 0, or sup or the quotient overflowed.
+        degree = math.inf
     if degree > MAX_DEGREE:
         raise UsageError(
             f"required degree {degree} exceeds the supported maximum {MAX_DEGREE}"

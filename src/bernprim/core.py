@@ -127,9 +127,7 @@ class RealFunction:
             x = i / denom
             try:
                 value = float(self.evaluator(x))
-            except EvaluationError as exc:
-                raise EvaluationError(f"construction probe failed at x={x!r}: {exc}") from exc
-            except (ArithmeticError, ValueError) as exc:
+            except (EvaluationError, ArithmeticError, ValueError) as exc:
                 raise EvaluationError(f"construction probe failed at x={x!r}: {exc}") from exc
             if not math.isfinite(value):
                 raise EvaluationError(
@@ -153,7 +151,6 @@ class SupNormEstimate:
     """
 
     value: float
-    grid_size: int
     argmax: float
 
 
@@ -446,4 +443,4 @@ def sup_norm_distance(g: Evaluatable, h: Evaluatable, grid_size: int = 1001) -> 
     grid = np.arange(grid_size) / float(grid_size - 1)
     diff = np.abs(_values_on(g, grid) - _values_on(h, grid))
     index = int(np.argmax(diff))  # first index wins on ties
-    return SupNormEstimate(value=float(diff[index]), grid_size=grid_size, argmax=float(grid[index]))
+    return SupNormEstimate(value=float(diff[index]), argmax=float(grid[index]))

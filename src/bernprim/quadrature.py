@@ -1,38 +1,25 @@
 """Quadrature and finite-difference oracles, independent of the basis code.
 
-These deliberately share nothing with the Bernstein machinery so that an
-agreement between the two routes actually means something.  Node sums use
-math.fsum, so results do not depend on any reduction order.
+This module imports nothing from the rest of bernprim, so an agreement
+between these oracles and the Bernstein construction actually means
+something.  The oracles return plain floats; a caller that wants a
+refinement gap makes the second call itself, e.g.
+abs(simpson(f, u, n) - simpson(f, u, 2 * n)).  Node sums use math.fsum,
+so results do not depend on any reduction order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from typing import Callable, Literal
 
-from .core import BernsteinPoly, RealFunction
+__all__ = ["riemann_sum", "simpson", "central_difference"]
 
-__all__ = ["QuadratureResult", "riemann_sum", "simpson", "central_difference"]
-
-Integrand = Union[RealFunction, BernsteinPoly, Callable[[float], float]]
+Integrand = Callable[[float], float]
 
 RiemannRule = Literal["left", "right", "midpoint"]
 
 _RULE_OFFSETS = {"left": 0.0, "right": 1.0, "midpoint": 0.5}
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Integral estimate with a Richardson-style error estimate.
-
-    error_estimate is the absolute difference against the same rule run
-    with twice the panels.
-    """
-
-    value: float
-    panels: int
-    error_estimate: float
 
 
 def _check_upper(upper: float) -> float:
@@ -42,28 +29,32 @@ def _check_upper(upper: float) -> float:
     return upper
 
 
-def _riemann(f: Integrand, upper: float, panels: int, offset: float) -> float:
-    if upper == 0.0:
-        return 0.0
-    h = upper / panels
-    # Nodes as upper * fraction keeps every node inside [0, upper] exactly.
-    return h * math.fsum(f(upper * ((i + offset) / panels)) for i in range(panels))
+def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "midpoint") -> float:
+    """Riemann sum of f over [0, upper] with the given node rule.
 
-
-def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "midpoint") -> QuadratureResult:
-    """Riemann sum of f over [0, upper] with the given node rule."""
+    f is called exactly panels times (not at all when upper is 0).
+    """
     upper = _check_upper(upper)
     if panels < 1:
         raise ValueError(f"panels must be >= 1, got {panels}")
     if rule not in _RULE_OFFSETS:
         raise ValueError(f"unknown rule {rule!r}; expected left, right, or midpoint")
+    if upper == 0.0:
+        return 0.0
     offset = _RULE_OFFSETS[rule]
-    value = _riemann(f, upper, panels, offset)
-    refined = _riemann(f, upper, 2 * panels, offset)
-    return QuadratureResult(value=value, panels=panels, error_estimate=abs(value - refined))
+    h = upper / panels
+    # Nodes as upper * fraction keeps every node inside [0, upper] exactly.
+    return h * math.fsum(f(upper * ((i + offset) / panels)) for i in range(panels))
 
 
-def _simpson(f: Integrand, upper: float, panels: int) -> float:
+def simpson(f: Integrand, upper: float, panels: int) -> float:
+    """Composite Simpson rule over [0, upper]; panels must be even.
+
+    f is called exactly panels + 1 times (not at all when upper is 0).
+    """
+    upper = _check_upper(upper)
+    if panels < 2 or panels % 2:
+        raise ValueError(f"panels must be an even number >= 2, got {panels}")
     if upper == 0.0:
         return 0.0
     h = upper / panels
@@ -73,16 +64,6 @@ def _simpson(f: Integrand, upper: float, panels: int) -> float:
         return weight * f(upper * (i / panels))
 
     return (h / 3.0) * math.fsum(term(i) for i in range(panels + 1))
-
-
-def simpson(f: Integrand, upper: float, panels: int) -> QuadratureResult:
-    """Composite Simpson rule over [0, upper]; panels must be even."""
-    upper = _check_upper(upper)
-    if panels < 2 or panels % 2:
-        raise ValueError(f"panels must be an even number >= 2, got {panels}")
-    value = _simpson(f, upper, panels)
-    refined = _simpson(f, upper, 2 * panels)
-    return QuadratureResult(value=value, panels=panels, error_estimate=abs(value - refined))
 
 
 def central_difference(f: Integrand, x: float, h: float = 1e-5) -> float:

@@ -141,7 +141,7 @@ def test_criterion_3_exact_error_laws():
         )
         law_direct = float(np.abs(direct - sample_xs**2).max())
         worst_fn_alt = max(worst_fn_alt, abs(law_direct - 1.0 / (4 * n)))
-        oracle = np.array([simpson(square, float(x), 256).value for x in sample_xs])
+        oracle = np.array([simpson(square, float(x), 256) for x in sample_xs])
         values = poly_values(primitive, sample_xs)
         law_oracle = float(np.abs(values - oracle).max())
         worst_Fn_alt = max(worst_Fn_alt, abs(law_oracle - 1.0 / (6 * n)))
@@ -231,7 +231,7 @@ def test_criterion_7_oracle_cross_check():
         primitive = primitive_approximant(fn, 200)
         approx = bernstein_approximant(fn, 200)
         lhs = max(
-            abs(eval_poly(primitive, x) - simpson(fn, x, 256).value) for x in GRID_101
+            abs(eval_poly(primitive, x) - simpson(fn, x, 256)) for x in GRID_101
         )
         rhs = sup_norm_distance(approx, fn, 101).value + 1e-6
         ok = ok and lhs <= rhs

@@ -200,7 +200,6 @@ class TestSupNormDistance:
         assert isinstance(estimate, SupNormEstimate)
         assert estimate.value == pytest.approx(0.025, abs=1e-9)
         assert estimate.argmax == 0.5
-        assert estimate.grid_size == 1001
 
     def test_frozen_primitive_error(self):
         poly = primitive_approximant(lambda x: x * x, 10)

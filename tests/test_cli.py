@@ -84,6 +84,12 @@ class TestExitCodes:
             ["bound", "--expr", "x", "--eps", "nan", "--lipschitz", "1"],
             ["bound", "--expr", "x", "--eps", "inf", "--lipschitz", "1"],
             ["bound", "--expr", "x", "--eps", "0.1", "--lipschitz", "nan"],
+            # Valid flags whose degree bound leaves float range.
+            ["bound", "--expr", "x", "--eps", "1e-300", "--lipschitz", "1e300"],
+            ["bound", "--expr", "x", "--eps", "1e-320", "--delta", "1"],
+            ["bound", "--expr", "x", "--eps", "1e-300", "--delta", "1e-10"],
+            ["bound", "--expr", "x", "--eps", "1e-200", "--delta", "1e-100"],
+            ["bound", "--expr", "1.79e308", "--eps", "0.5", "--delta", "0.5", "--grid", "11"],
         ],
     )
     def test_usage_errors_are_two(self, capsys, argv):
@@ -120,6 +126,13 @@ class TestExitCodes:
         )
         assert code == 2
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("expr", ["0", "1e-320"])
+    def test_tiny_function_keeps_a_small_degree_under_extreme_flags(self, capsys, expr):
+        for step in (["--delta", "1"], ["--delta", "1e-10"]):
+            argv = ["bound", "--expr", expr, "--eps", "1e-300", *step, "--grid", "11"]
+            report = run_json(capsys, argv)
+            assert report["summary"]["required_degree"] <= 5
 
 
 class TestReportSchema:
@@ -351,7 +364,7 @@ _DEEP = [
     "^".join(["x"] * 1000),
     "+".join(["x"] * 990),
 ]
-_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "log(x)", "1/(x - 0.5)", "x^^2", "", *_DEEP]
+_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", "log(x)", "1/(x - 0.5)", "x^^2", "", *_DEEP]
 
 
 def _flag(flag, good, bad=_BAD, omitted="good"):
@@ -369,7 +382,8 @@ _PANELS = _flag("--panels", ["2", "8", "64"], ["7", *_BAD], omitted=None)
 _GRID = _flag("--grid", ["2", "21", "101"], ["1", *_BAD], omitted=None)
 _EMIT = _flag("--emit", ["json", "csv"], ["xml"])
 _STEP = (
-    [["--delta=0.5"], ["--delta=1"], ["--lipschitz=1"]],
+    [["--delta=0.5"], ["--delta=1"], ["--delta=1e-10"], ["--delta=1e-100"], ["--lipschitz=1"],
+     ["--lipschitz=1e300"]],
     [[], ["--delta=0.5", "--lipschitz=1"], ["--delta=1.5"], ["--delta=nan"], ["--lipschitz=0"],
      ["--lipschitz=nan"], ["--lipschitz=inf"]],
 )
@@ -389,7 +403,13 @@ _FLAGS = {
         _PANELS,
         _EMIT,
     ],
-    "bound": [_EXPR, _flag("--eps", ["0.04", "0.5", "100001"]), _STEP, _GRID, _EMIT],
+    "bound": [
+        _EXPR,
+        _flag("--eps", ["0.04", "0.5", "100001", "1e-200", "1e-300", "1e-320"]),
+        _STEP,
+        _GRID,
+        _EMIT,
+    ],
 }
 
 

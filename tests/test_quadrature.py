@@ -12,13 +12,7 @@ import math
 
 import pytest
 
-from bernprim import (
-    QuadratureResult,
-    RealFunction,
-    central_difference,
-    riemann_sum,
-    simpson,
-)
+from bernprim import RealFunction, central_difference, riemann_sum, simpson
 from corpus import BY_NAME
 
 
@@ -33,52 +27,44 @@ def right_square_closed_form(panels: int) -> float:
 class TestRiemannSum:
     def test_frozen_left_square(self):
         result = riemann_sum(lambda t: t * t, 1.0, 100, rule="left")
-        assert result.value == pytest.approx(0.32835, abs=1e-13)
-        assert result.value == pytest.approx(left_square_closed_form(100), abs=1e-13)
-        assert result.panels == 100
+        assert result == pytest.approx(0.32835, abs=1e-13)
+        assert result == pytest.approx(left_square_closed_form(100), abs=1e-13)
 
     def test_frozen_right_square(self):
         result = riemann_sum(lambda t: t * t, 1.0, 100, rule="right")
-        assert result.value == pytest.approx(0.33835, abs=1e-13)
-        assert result.value == pytest.approx(right_square_closed_form(100), abs=1e-13)
+        assert result == pytest.approx(0.33835, abs=1e-13)
+        assert result == pytest.approx(right_square_closed_form(100), abs=1e-13)
 
     def test_frozen_midpoint_square(self):
         # Dyadic nodes: the 4-panel midpoint sum of t^2 is exactly 0.328125.
         result = riemann_sum(lambda t: t * t, 1.0, 4, rule="midpoint")
-        assert result.value == 0.328125
+        assert result == 0.328125
 
     def test_midpoint_exact_for_linear(self):
-        assert riemann_sum(lambda t: t, 1.0, 8, rule="midpoint").value == 0.5
+        assert riemann_sum(lambda t: t, 1.0, 8, rule="midpoint") == 0.5
         partial = riemann_sum(lambda t: t, 0.5, 4, rule="midpoint")
-        assert partial.value == 0.125
+        assert partial == 0.125
 
     def test_constant_is_exact_under_every_rule(self):
         for rule in ("left", "right", "midpoint"):
-            assert riemann_sum(lambda t: 1.0, 1.0, 10, rule=rule).value == 1.0
+            assert riemann_sum(lambda t: 1.0, 1.0, 10, rule=rule) == 1.0
 
     def test_partial_upper_limits(self):
-        assert riemann_sum(lambda t: 1.0, 0.0, 10).value == 0.0
+        assert riemann_sum(lambda t: 1.0, 0.0, 10) == 0.0
         result = riemann_sum(lambda t: 1.0, 0.3, 7, rule="left")
-        assert result.value == pytest.approx(0.3, abs=1e-15)
+        assert result == pytest.approx(0.3, abs=1e-15)
 
     def test_right_rule_nodes_stay_in_domain(self):
         # The last right-rule node is the upper limit itself; an
         # evaluator that enforces [0, 1] must not be pushed outside.
         f = RealFunction(lambda x: math.sqrt(x + 0.25))
         result = riemann_sum(f, 1.0, 33, rule="right")
-        assert math.isfinite(result.value)
-
-    def test_error_estimate_is_refinement_gap(self):
-        result = riemann_sum(lambda t: t * t, 1.0, 100, rule="left")
-        finer = riemann_sum(lambda t: t * t, 1.0, 200, rule="left")
-        assert result.error_estimate == pytest.approx(
-            abs(result.value - finer.value), abs=1e-15
-        )
+        assert math.isfinite(result)
 
     def test_first_order_convergence_ratio(self):
         exact = 1.0 / 3.0
         errors = [
-            abs(riemann_sum(lambda t: t * t, 1.0, n, rule="left").value - exact)
+            abs(riemann_sum(lambda t: t * t, 1.0, n, rule="left") - exact)
             for n in (100, 200, 400)
         ]
         for coarse, fine in zip(errors, errors[1:]):
@@ -96,13 +82,13 @@ class TestRiemannSum:
 class TestSimpson:
     def test_exact_for_cubics(self):
         result = simpson(lambda t: t**3, 1.0, 2)
-        assert result.value == pytest.approx(0.25, abs=1e-15)
-        assert simpson(lambda t: t**3 - t, 1.0, 8).value == pytest.approx(
+        assert result == pytest.approx(0.25, abs=1e-15)
+        assert simpson(lambda t: t**3 - t, 1.0, 8) == pytest.approx(
             -0.25, abs=1e-15
         )
 
     def test_frozen_partial_square(self):
-        assert simpson(lambda t: t * t, 0.5, 10).value == pytest.approx(
+        assert simpson(lambda t: t * t, 0.5, 10) == pytest.approx(
             1.0 / 24.0, abs=1e-12
         )
 
@@ -111,13 +97,13 @@ class TestSimpson:
         # about 2.05e-8 at 64 panels, 1.28e-9 at 128.
         entry = BY_NAME["sine"]
         exact = 2.0 / math.pi
-        assert simpson(entry.fn, 1.0, 64).value == pytest.approx(exact, abs=3e-8)
-        assert simpson(entry.fn, 1.0, 128).value == pytest.approx(exact, abs=1e-8)
+        assert simpson(entry.fn, 1.0, 64) == pytest.approx(exact, abs=3e-8)
+        assert simpson(entry.fn, 1.0, 128) == pytest.approx(exact, abs=1e-8)
 
     def test_fourth_order_convergence_ratio(self):
         entry = BY_NAME["sine"]
         exact = 2.0 / math.pi
-        errors = [abs(simpson(entry.fn, 1.0, n).value - exact) for n in (8, 16, 32)]
+        errors = [abs(simpson(entry.fn, 1.0, n) - exact) for n in (8, 16, 32)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 14.0 <= coarse / fine <= 18.0
 
@@ -125,8 +111,8 @@ class TestSimpson:
         for name in ("square", "sine", "expgrow", "kink", "rootshift"):
             fn = BY_NAME[name].fn
             for upper in (0.25, 0.5, 1.0):
-                a = simpson(fn, upper, 256).value
-                b = riemann_sum(fn, upper, 20000, rule="midpoint").value
+                a = simpson(fn, upper, 256)
+                b = riemann_sum(fn, upper, 20000, rule="midpoint")
                 assert a == pytest.approx(b, abs=1e-6)
 
     def test_validation(self):
@@ -173,15 +159,23 @@ class TestCentralDifference:
 
 
 class TestResultShape:
-    def test_fields(self):
-        result = riemann_sum(lambda t: t, 1.0, 12)
-        assert isinstance(result, QuadratureResult)
-        assert result.panels == 12
-        assert result.error_estimate >= 0.0
+    def test_float_from_one_evaluation_per_node(self):
+        # No hidden refinement: the rule's own nodes are all that is evaluated.
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t * t
+
+        for upper in (0.3, 1.0):
+            for panels in (2, 12):
+                calls.clear()
+                assert type(simpson(f, upper, panels)) is float
+                assert len(calls) == panels + 1
+                calls.clear()
+                assert type(riemann_sum(f, upper, panels)) is float
+                assert len(calls) == panels
 
     def test_determinism(self):
         entry = BY_NAME["cosine"]
-        first = simpson(entry.fn, 1.0, 32)
-        second = simpson(entry.fn, 1.0, 32)
-        assert first.value == second.value
-        assert first.error_estimate == second.error_estimate
+        assert simpson(entry.fn, 1.0, 32) == simpson(entry.fn, 1.0, 32)
