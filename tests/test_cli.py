@@ -134,6 +134,32 @@ class TestExitCodes:
             report = run_json(capsys, argv)
             assert report["summary"]["required_degree"] <= 5
 
+    def test_subnormal_sup_keeps_its_small_degree(self, capsys):
+        # 4 * 2^-1074 / (1e-200 * 1e-62 * 1e-62) is 19.76, so the degree is
+        # 20; eps * delta^2 alone underflows to 0.
+        argv = ["bound", "--expr", "5e-324", "--eps", "1e-200", "--delta", "1e-62", "--grid", "11"]
+        assert run_json(capsys, argv)["summary"]["required_degree"] == 20
+
+
+class TestHighDegree:
+    """Degrees far above the goldens' run in seconds."""
+
+    def test_bound_picks_and_passes_degree_8081(self, capsys):
+        argv = ["bound", "--expr", "abs(x - 0.5)", "--eps", "0.1", "--lipschitz", "1"]
+        summary = run_json(capsys, argv)["summary"]
+        assert summary["required_degree"] == 8081
+        assert summary["passed"] is True
+
+    def test_converge_to_degree_100000_matches_closed_form(self, capsys):
+        argv = ["converge", "--expr", "x^2", "--degrees", "1000,100000", "--grid", "1001", "--panels", "2"]
+        report = run_json(capsys, argv)
+        # For x^2, f_n - f = x(1-x)/n peaks at 1/(4n) at x = 1/2, and
+        # F_n - F = (u^2/2 - u^3/3)/n at 1/(6n) at u = 1, where Simpson is
+        # exact for the cubic F.
+        for n, error_fn, error_primitive in report["table"]:
+            assert error_fn == pytest.approx(1.0 / (4.0 * n), abs=1e-9)
+            assert error_primitive == pytest.approx(1.0 / (6.0 * n), abs=1e-9)
+
 
 class TestReportSchema:
     @pytest.mark.parametrize(
@@ -364,7 +390,8 @@ _DEEP = [
     "^".join(["x"] * 1000),
     "+".join(["x"] * 990),
 ]
-_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", "log(x)", "1/(x - 0.5)", "x^^2", "", *_DEEP]
+_UNDEFINED = ["log(x)", "1/(x - 0.5)"]  # not finite somewhere on [0, 1]: exit 3
+_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", *_UNDEFINED, "x^^2", "", *_DEEP]
 
 
 def _flag(flag, good, bad=_BAD, omitted="good"):
@@ -376,7 +403,7 @@ def _flag(flag, good, bad=_BAD, omitted="good"):
 
 
 _EXPR = _flag("--expr", _EXPRS, [], omitted="bad")
-_DEGREE = _flag("--n", ["1", "8", "65"], ["100001", *_BAD], omitted="bad")
+_DEGREE = _flag("--n", ["1", "8", "65", "1000"], ["100001", *_BAD], omitted="bad")
 _SAMPLES = _flag("--samples", ["2", "5", "11"])
 _PANELS = _flag("--panels", ["2", "8", "64"], ["7", *_BAD], omitted=None)
 _GRID = _flag("--grid", ["2", "21", "101"], ["1", *_BAD], omitted=None)
@@ -398,7 +425,7 @@ _FLAGS = {
     ],
     "converge": [
         _EXPR,
-        _flag("--degrees", ["4,8", "1,65", "8"], ["8,4", ",", "4,100001", *_BAD], omitted="bad"),
+        _flag("--degrees", ["4,8", "1,65", "8", "100,2000"], ["8,4", ",", "4,100001", *_BAD], omitted="bad"),
         _GRID,
         _PANELS,
         _EMIT,
@@ -439,6 +466,8 @@ class TestArgvFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert any(arg in (f"--expr={e}" for e in _UNDEFINED) for arg in argv), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):
             assert _summary(out.getvalue(), argv)["passed"] is (code == 0)
