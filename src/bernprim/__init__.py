@@ -5,6 +5,7 @@ from .core import (
     EvaluationError,
     RealFunction,
     SupNormEstimate,
+    antiderivative_poly,
     basis_all,
     basis_derivative,
     basis_eval,
@@ -31,6 +32,7 @@ __all__ = [
     "ParseError",
     "RealFunction",
     "SupNormEstimate",
+    "antiderivative_poly",
     "basis_all",
     "basis_derivative",
     "basis_eval",

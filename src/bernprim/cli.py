@@ -32,6 +32,7 @@ from typing import Callable
 from .core import (
     BernsteinPoly,
     EvaluationError,
+    antiderivative_poly,
     basis_derivative,
     basis_eval,
     bernstein_approximant,
@@ -209,7 +210,7 @@ def cmd_converge(args: argparse.Namespace) -> dict:
     table = []
     for n in args.degrees:
         fn = bernstein_approximant(f, n)
-        values = poly_values(primitive_approximant(f, n), grid)
+        values = poly_values(antiderivative_poly(fn), grid)
         error_fn = sup_norm_distance(fn, f, args.grid).value
         table.append([float(n), error_fn, float(max(abs(v - o) for v, o in zip(values, oracle)))])
     rates = [

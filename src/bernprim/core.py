@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Literal, Sequence, Union
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "eval_poly",
     "poly_values",
     "derivative_poly",
+    "antiderivative_poly",
     "difference_quotient",
     "required_degree",
     "lipschitz_delta",
@@ -51,6 +53,10 @@ _NAIVE_BASIS_LIMIT = 50
 # point) above it.  On a 2-CPU x86 host at 1001 points the window is
 # faster from about degree 100; every degree in the goldens is below.
 _WINDOW_DEGREE = 100
+
+# RealFunction probes its evaluator at i/256, i = 0..256, when it is built:
+# a dyadic grid, so it lands exactly on poles such as 0.25 or 0.5.
+_PROBE_POINTS = 257
 
 MomentKind = Literal["partition", "first", "second_central"]
 
@@ -123,14 +129,10 @@ class RealFunction:
     """
 
     evaluator: Callable[[float], float]
-    probe_points: int = 257
 
     def __post_init__(self) -> None:
-        if self.probe_points < 2:
-            raise ValueError("probe_points must be >= 2")
-        denom = self.probe_points - 1
-        for i in range(self.probe_points):
-            x = i / denom
+        for i in range(_PROBE_POINTS):
+            x = i / (_PROBE_POINTS - 1)
             try:
                 value = float(self.evaluator(x))
             except (EvaluationError, ArithmeticError, ValueError) as exc:
@@ -289,32 +291,6 @@ def bernstein_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
     return BernsteinPoly(n, tuple(float(f(m / n)) for m in range(n + 1)))
 
 
-def _running_exact_sums(values: Sequence[float]) -> list[float]:
-    """Prefix sums [0, v0, v0+v1, ...] with each prefix correctly rounded.
-
-    Keeps a Shewchuk-style expansion of exact partials so the rounding of
-    one prefix never contaminates the next; this is what lets the
-    derivative of the primitive recover the samples to rounding accuracy.
-    """
-    prefixes = [0.0]
-    partials: list[float] = []
-    for value in values:
-        v = float(value)
-        i = 0
-        for p in partials:
-            if abs(v) < abs(p):
-                v, p = p, v
-            total = v + p
-            err = p - (total - v)
-            if err:
-                partials[i] = err
-                i += 1
-            v = total
-        partials[i:] = [v]
-        prefixes.append(math.fsum(partials))
-    return prefixes
-
-
 def primitive_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
     """Degree-(n+1) polynomial antiderivative of the degree-n approximant.
 
@@ -322,11 +298,7 @@ def primitive_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
     by n+1, so the value at 0 is exactly 0 and the Bernstein derivative
     rule hands back the samples themselves.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    samples = [float(f(m / n)) for m in range(n + 1)]
-    prefixes = _running_exact_sums(samples)
-    return BernsteinPoly(n + 1, tuple(p / (n + 1) for p in prefixes))
+    return antiderivative_poly(bernstein_approximant(f, n))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +376,22 @@ def derivative_poly(p: BernsteinPoly) -> BernsteinPoly:
         return BernsteinPoly(0, (0.0,))
     c = p.coeffs
     return BernsteinPoly(n - 1, tuple(n * (c[j + 1] - c[j]) for j in range(n)))
+
+
+def antiderivative_poly(p: BernsteinPoly) -> BernsteinPoly:
+    """The antiderivative of p that vanishes at 0, in Bernstein form.
+
+    Coefficient j is the sum of p's first j coefficients divided by n+1,
+    so derivative_poly hands back p's coefficients to rounding.  Every
+    double is an integer multiple of the largest denominator among the
+    coefficients' as_integer_ratio() values, a power of two, so the prefix
+    sums are exact integers and each is rounded once; a sum beyond float
+    range raises OverflowError.
+    """
+    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    scale = max(den for _, den in ratios)
+    sums = accumulate((num * (scale // den) for num, den in ratios), initial=0)
+    return BernsteinPoly(p.degree + 1, tuple(s / scale / (p.degree + 1) for s in sums))
 
 
 def difference_quotient(p: BernsteinPoly, c: float) -> BernsteinPoly:

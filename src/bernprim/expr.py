@@ -362,6 +362,6 @@ def eval_ast(node: ExprAst, x: float) -> float:
     return _eval(node, x)
 
 
-def to_real_function(node: ExprAst, probe_points: int = 257) -> RealFunction:
+def to_real_function(node: ExprAst) -> RealFunction:
     """Wrap a parsed tree as a RealFunction, probing it on a uniform grid."""
-    return RealFunction(evaluator=lambda x: eval_ast(node, x), probe_points=probe_points)
+    return RealFunction(evaluator=lambda x: eval_ast(node, x))

@@ -14,14 +14,18 @@ Oracles
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bernprim import (
+    BernsteinPoly,
     EvaluationError,
     RealFunction,
     SupNormEstimate,
+    antiderivative_poly,
     basis_eval,
     bernstein_approximant,
     derivative_poly,
@@ -74,7 +78,46 @@ class TestBernsteinApproximant:
             bernstein_approximant(lambda x: x, 0)
 
 
+def _random_signs(seed: int, size: int) -> tuple[float, ...]:
+    rng = random.Random(seed)
+    return tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30, 30) for _ in range(size))
+
+
+class TestAntiderivativePoly:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1e300, 1.0, -1e300, 1.0, 1e-300, -1.0),
+            (1.0, 1e-16, 1e-16, -1.0, 1e-16),
+            (5e-324, 2.2250738585072014e-308, -5e-324, 1e-310, 0.0, -0.0),
+            (1.7e308, -1.7e308, 1.7e308),
+            _random_signs(1, 9),
+            _random_signs(2, 200),
+        ],
+        ids=["cancellation", "small-after-one", "subnormals", "near-overflow", "signs-9", "signs-200"],
+    )
+    def test_coefficients_are_rounded_exact_prefix_sums(self, coeffs):
+        n = len(coeffs) - 1
+        primitive = antiderivative_poly(BernsteinPoly(n, coeffs))
+        assert primitive.degree == n + 1
+        expected = [float(sum(Fraction(c) for c in coeffs[:j])) / (n + 1) for j in range(n + 2)]
+        assert [c.hex() for c in primitive.coeffs] == [c.hex() for c in expected]
+
+    def test_degree_zero(self):
+        assert antiderivative_poly(BernsteinPoly(0, (2.5,))).coeffs == (0.0, 2.5)
+
+    def test_overflowing_prefix_sum_raises(self):
+        with pytest.raises(OverflowError):
+            antiderivative_poly(BernsteinPoly(1, (1.7e308, 1.7e308)))
+
+
 class TestPrimitiveApproximant:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_samples_f_once_per_node(self, n):
+        calls = []
+        primitive_approximant(lambda x: calls.append(x) or x, n)
+        assert calls == [m / n for m in range(n + 1)]
+
     def test_frozen_constant(self):
         poly = primitive_approximant(lambda x: 1.0, 3)
         assert poly.degree == 4
@@ -225,10 +268,6 @@ class TestRealFunction:
     def test_probe_rejects_non_finite(self):
         with pytest.raises(EvaluationError):
             RealFunction(lambda x: float("inf") if x > 0.9 else x)
-
-    def test_metadata_validation(self):
-        with pytest.raises(ValueError):
-            RealFunction(lambda x: x, probe_points=1)
 
     def test_call_checks_domain(self):
         f = RealFunction(lambda x: x)

@@ -259,11 +259,8 @@ class TestToRealFunction:
         with pytest.raises(EvaluationError, match="probe"):
             to_real_function(parse("log(x)"))
 
-    def test_probe_density_is_configurable(self):
-        # 1/(x - 1/3) only blows up if the probe grid hits the pole;
-        # a 4-point grid misses it, the default 257-point grid need not.
-        node = parse("1/(x - 0.25)")
+    def test_probe_grid_hits_dyadic_poles(self):
+        # 1/(x - 0.25) only blows up if the probe grid hits the pole;
+        # the 257-point grid i/256 does.
         with pytest.raises(EvaluationError):
-            to_real_function(node, probe_points=257)
-        f = to_real_function(node, probe_points=4)
-        assert f(0.5) == pytest.approx(4.0)
+            to_real_function(parse("1/(x - 0.25)"))
