@@ -22,6 +22,7 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -268,6 +269,28 @@ def cmd_bound(args: argparse.Namespace) -> dict:
 # Emission and entry point
 
 
+def _non_finite_field(value, path: str = "") -> str | None:
+    """Name the first NaN or infinity in a report, or in a part of one at path."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} is {value!r}"
+    if isinstance(value, dict):
+        fields = ((f"{path}.{key}" if path else key, item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        try:
+            if all(map(math.isfinite, value)):  # a row of finite numbers
+                return None
+        except (TypeError, OverflowError):  # not a row of floats
+            pass
+        fields = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    for where, item in fields:
+        found = _non_finite_field(item, where)
+        if found:
+            return found
+    return None
+
+
 def _emit_csv(report: dict) -> str:
     lines = []
     for key in ("command", "expr", "params", "poly", "summary"):
@@ -335,6 +358,22 @@ def _degree_list(text: str) -> list[int]:
     return degrees
 
 
+# argparse passes a string default through type= on every parse, so _seed
+# reads BERN_SEED at each run, not when the parser is built, and a bad
+# BERN_SEED is a usage error like a bad --seed.  The identity test keeps an
+# argv value equal to this text from standing for the default.
+_SEED_FROM_ENV = "<BERN_SEED or 0>"
+
+
+def _seed(text: str) -> int:
+    if text is _SEED_FROM_ENV:
+        text = os.environ.get("BERN_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernprim",
@@ -364,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident = add("identities", cmd_identities, "spot-check the basis identities")
     p_ident.add_argument("--n-max", type=_degree, default=200, dest="n_max")
     p_ident.add_argument("--grid", type=_int_in(3, MAX_DEGREE + 1), default=101)
-    # A string default goes through type=int like an argv value, so a bad
-    # BERN_SEED is a usage error too.
-    p_ident.add_argument("--seed", type=int, default=os.environ.get("BERN_SEED", "0"))
+    p_ident.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
 
     p_conv = add("converge", cmd_converge, "sweep degrees and report sup errors")
     p_conv.add_argument("--expr", required=True)
@@ -385,10 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use; it holds nothing of any argv."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -401,6 +443,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (EvaluationError, OverflowError, ZeroDivisionError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    non_finite = _non_finite_field(report)
+    if non_finite:
+        print(f"numeric failure: report field {non_finite}", file=sys.stderr)
         return 3
     text = _emit(report, args.emit)
     if args.out:

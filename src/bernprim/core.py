@@ -386,12 +386,20 @@ def antiderivative_poly(p: BernsteinPoly) -> BernsteinPoly:
     double is an integer multiple of the largest denominator among the
     coefficients' as_integer_ratio() values, a power of two, so the prefix
     sums are exact integers and each is rounded once; a sum beyond float
-    range raises OverflowError.
+    range raises OverflowError naming its index.
     """
     ratios = [c.as_integer_ratio() for c in p.coeffs]
     scale = max(den for _, den in ratios)
     sums = accumulate((num * (scale // den) for num, den in ratios), initial=0)
-    return BernsteinPoly(p.degree + 1, tuple(s / scale / (p.degree + 1) for s in sums))
+    coeffs = []
+    for j, s in enumerate(sums):
+        try:
+            coeffs.append(s / scale / (p.degree + 1))
+        except OverflowError:
+            raise OverflowError(
+                f"prefix sum {j} of degree {p.degree} is beyond float range"
+            ) from None
+    return BernsteinPoly(p.degree + 1, tuple(coeffs))
 
 
 def difference_quotient(p: BernsteinPoly, c: float) -> BernsteinPoly:

@@ -138,9 +138,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 # Deepest nesting parse() accepts, counting both the parser's own recursion
 # (parentheses, unary minus, ^ and calls) and the height of the tree, which
-# a chain such as x+x+...+x grows without any recursion.  eval_ast, to_text
-# and tree equality walk the tree recursively, and a nested call costs the
-# parser six frames a level, so this keeps every walk well inside Python's
+# a chain such as x+x+...+x grows without any recursion.  _compile, to_text
+# and tree equality walk the tree recursively, a compiled tree calls one
+# closure per level, and a nested call costs the parser six frames a level,
+# so this keeps every walk and every evaluation well inside Python's
 # default limit of 1000 frames.
 _MAX_DEPTH = 100
 
@@ -313,44 +314,105 @@ def _fail(node: ExprAst, x: float, reason: str) -> EvaluationError:
     return EvaluationError(f"evaluation of '{to_text(node)}' failed at x={x!r}: {reason}")
 
 
-def _eval(node: ExprAst, x: float) -> float:
+def _compile(node: ExprAst) -> Callable[[float], float]:
+    """The tree as nested closures: one call evaluates it at x.
+
+    Each closure keeps the checks of its node, evaluates left before right,
+    and builds its failure message only when it fails.
+    """
+    isfinite = math.isfinite
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda x: value
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Unary):
-        return -_eval(node.operand, x)
+        operand = _compile(node.operand)
+        return lambda x: -operand(x)
     if isinstance(node, Binary):
-        left = _eval(node.left, x)
-        right = _eval(node.right, x)
-        if node.op == "+":
-            value = left + right
-        elif node.op == "-":
-            value = left - right
-        elif node.op == "*":
-            value = left * right
-        elif node.op == "/":
-            if right == 0.0:
-                raise _fail(node, x, "division by zero")
-            value = left / right
+        left, right, op = _compile(node.left), _compile(node.right), node.op
+        if op == "+":
+
+            def binary(x: float) -> float:
+                value = left(x) + right(x)
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
+        elif op == "-":
+
+            def binary(x: float) -> float:
+                value = left(x) - right(x)
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
+        elif op == "*":
+
+            def binary(x: float) -> float:
+                value = left(x) * right(x)
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
+        elif op == "/":
+
+            def binary(x: float) -> float:
+                numerator = left(x)
+                denominator = right(x)
+                if denominator == 0.0:
+                    raise _fail(node, x, "division by zero")
+                value = numerator / denominator
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
         else:
-            try:
-                value = math.pow(left, right)
-            except (ValueError, OverflowError) as exc:
-                raise _fail(node, x, str(exc)) from exc
-        if not math.isfinite(value):
-            raise _fail(node, x, f"non-finite result {value!r}")
-        return value
+            power = math.pow
+
+            def binary(x: float) -> float:
+                base = left(x)
+                exponent = right(x)
+                try:
+                    value = power(base, exponent)
+                except (ValueError, OverflowError) as exc:
+                    raise _fail(node, x, str(exc)) from exc
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
+        return binary
     if isinstance(node, Call):
-        args = [_eval(arg, x) for arg in node.args]
+        args = [_compile(arg) for arg in node.args]
         fn = UNARY_FUNCTIONS.get(node.name) or BINARY_FUNCTIONS[node.name]
-        try:
-            value = float(fn(*args))
-        except (ValueError, OverflowError) as exc:
-            raise _fail(node, x, str(exc)) from exc
-        if not math.isfinite(value):
-            raise _fail(node, x, f"non-finite result {value!r}")
-        return value
+        if len(args) == 1:
+            (arg,) = args
+
+            def call(x: float) -> float:
+                a = arg(x)
+                try:
+                    value = float(fn(a))
+                except (ValueError, OverflowError) as exc:
+                    raise _fail(node, x, str(exc)) from exc
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
+        else:
+            first, second = args
+
+            def call(x: float) -> float:
+                a = first(x)
+                b = second(x)
+                try:
+                    value = float(fn(a, b))
+                except (ValueError, OverflowError) as exc:
+                    raise _fail(node, x, str(exc)) from exc
+                if not isfinite(value):
+                    raise _fail(node, x, f"non-finite result {value!r}")
+                return value
+
+        return call
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -359,9 +421,12 @@ def eval_ast(node: ExprAst, x: float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    return _eval(node, x)
+    return _compile(node)(x)
 
 
 def to_real_function(node: ExprAst) -> RealFunction:
-    """Wrap a parsed tree as a RealFunction, probing it on a uniform grid."""
-    return RealFunction(evaluator=lambda x: eval_ast(node, x))
+    """Wrap a parsed tree as a RealFunction, probing it on a uniform grid.
+
+    The tree is compiled once; RealFunction checks the domain of each call.
+    """
+    return RealFunction(evaluator=_compile(node))

@@ -107,7 +107,7 @@ class TestAntiderivativePoly:
         assert antiderivative_poly(BernsteinPoly(0, (2.5,))).coeffs == (0.0, 2.5)
 
     def test_overflowing_prefix_sum_raises(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^prefix sum 2 of degree 1 is beyond float range$"):
             antiderivative_poly(BernsteinPoly(1, (1.7e308, 1.7e308)))
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernprim
+import bernprim.cli as cli
 from bernprim.cli import REPORT_SCHEMA, main
 from cli_cases import GOLDEN_CASES, golden_path
 
@@ -127,8 +128,28 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("numeric failure:")
+        assert err.startswith("numeric failure: prefix sum ")
+        assert "is beyond float range" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["primitive", "--expr", "5e307", "--n", "1", "--samples", "2", "--panels", "2"], "table[1][2]"),
+            (["converge", "--expr", "5e307", "--degrees", "2", "--grid", "3", "--panels", "2"], "table[0][2]"),
+            (
+                ["converge", "--expr", "1e308*sin(30*x)", "--degrees", "2,4", "--grid", "5", "--panels", "2"],
+                "table[0][2]",
+            ),
+        ],
+    )
+    def test_non_finite_report_is_three(self, capsys, argv, field):
+        # Every sample of f is finite, but the Simpson oracle's 4 * f
+        # overflows, so the report would carry an infinity.
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"numeric failure: report field {field} is inf\n"
 
     def test_argparse_failures_are_two(self, capsys):
         assert run_cli(capsys, ["no-such-command"])[0] == 2
@@ -342,6 +363,39 @@ class TestSeeding:
         assert "--seed" in err
 
 
+class TestParserReuse:
+    """main() builds its parser once per process; nothing of a run is kept."""
+
+    IDENT = TestSeeding.IDENT
+
+    def test_env_seed_is_read_at_each_run(self, capsys, monkeypatch):
+        monkeypatch.setenv("BERN_SEED", "3")
+        first = run_json(capsys, self.IDENT)
+        monkeypatch.setenv("BERN_SEED", "11")
+        second = run_json(capsys, self.IDENT)
+        assert (first["params"]["seed"], second["params"]["seed"]) == (3, 11)
+
+    def test_bad_env_seed_after_a_good_one_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BERN_SEED", "5")
+        assert run_json(capsys, self.IDENT)["params"]["seed"] == 5
+        monkeypatch.setenv("BERN_SEED", "5.5")
+        code, out, err = run_cli(capsys, self.IDENT)
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
+    def test_parser_is_built_at_most_once(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        for argv in (["approx", "--expr", "x", "--n", "3"], self.IDENT, ["approx", "--n", "0"], self.IDENT):
+            run_cli(capsys, argv)
+        assert len(calls) <= 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestGoldens:
     @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_byte_for_byte(self, capsys, name, argv):
@@ -408,7 +462,8 @@ _DEEP = [
 ]
 _UNDEFINED = ["log(x)", "1/(x - 0.5)"]  # not finite somewhere on [0, 1]: exit 3
 _HUGE = "1.7e308"  # finite, but primitive's and converge's prefix sums overflow: exit 3
-_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", _HUGE, *_UNDEFINED]
+_LARGE = "5e307"  # finite, but the Simpson oracle's 4 * f overflows: exit 3
+_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", _HUGE, _LARGE, *_UNDEFINED]
 
 
 def _flag(flag, good, bad=_BAD, omitted="good"):
@@ -489,7 +544,7 @@ class TestArgvFuzz:
             code = main(argv)
         assert code in (0, 1, 2, 3)
         if code == 3:
-            assert any(arg in (f"--expr={e}" for e in (*_UNDEFINED, _HUGE)) for arg in argv), err.getvalue()
+            assert any(arg in (f"--expr={e}" for e in (*_UNDEFINED, _HUGE, _LARGE)) for arg in argv), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):
             assert _summary(out.getvalue(), argv)["passed"] is (code == 0)

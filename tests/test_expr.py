@@ -169,6 +169,102 @@ class TestEvaluationErrors:
             eval_ast(parse("2 + 1/x"), 0.0)
 
 
+# (text, x, message from eval_ast at x, message from to_real_function's probe)
+EVAL_ERROR_CASES = [
+    (
+        "1/x",
+        0.0,
+        "evaluation of '1.0 / x' failed at x=0.0: division by zero",
+        "construction probe failed at x=0.0: evaluation of '1.0 / x' failed at x=0.0: division by zero",
+    ),
+    (
+        "log(x)",
+        0.0,
+        "evaluation of 'log(x)' failed at x=0.0: math domain error",
+        "construction probe failed at x=0.0: evaluation of 'log(x)' failed at x=0.0: math domain error",
+    ),
+    (
+        "sqrt(x - 0.5)",
+        0.0,
+        "evaluation of 'sqrt(x - 0.5)' failed at x=0.0: math domain error",
+        "construction probe failed at x=0.0: "
+        "evaluation of 'sqrt(x - 0.5)' failed at x=0.0: math domain error",
+    ),
+    (
+        "(0 - 2)^0.5",
+        0.5,
+        "evaluation of '(0.0 - 2.0)^0.5' failed at x=0.5: math domain error",
+        "construction probe failed at x=0.0: "
+        "evaluation of '(0.0 - 2.0)^0.5' failed at x=0.0: math domain error",
+    ),
+    (
+        "exp(1000*x)",
+        1.0,
+        "evaluation of 'exp(1000.0 * x)' failed at x=1.0: math range error",
+        "construction probe failed at x=0.7109375: "
+        "evaluation of 'exp(1000.0 * x)' failed at x=0.7109375: math range error",
+    ),
+    (
+        "1e308*x + 1e308*x",
+        1.0,
+        "evaluation of '1e+308 * x + 1e+308 * x' failed at x=1.0: non-finite result inf",
+        "construction probe failed at x=0.90234375: "
+        "evaluation of '1e+308 * x + 1e+308 * x' failed at x=0.90234375: non-finite result inf",
+    ),
+    (
+        "1e308*x*10",
+        1.0,
+        "evaluation of '1e+308 * x * 10.0' failed at x=1.0: non-finite result inf",
+        "construction probe failed at x=0.18359375: "
+        "evaluation of '1e+308 * x * 10.0' failed at x=0.18359375: non-finite result inf",
+    ),
+    # Both operands fail at 0; the left one is evaluated, and fails, first.
+    (
+        "log(x) + 1/x",
+        0.0,
+        "evaluation of 'log(x)' failed at x=0.0: math domain error",
+        "construction probe failed at x=0.0: evaluation of 'log(x)' failed at x=0.0: math domain error",
+    ),
+    (
+        "max(sqrt(x - 1), 1/x)",
+        0.0,
+        "evaluation of 'sqrt(x - 1.0)' failed at x=0.0: math domain error",
+        "construction probe failed at x=0.0: "
+        "evaluation of 'sqrt(x - 1.0)' failed at x=0.0: math domain error",
+    ),
+    (
+        "10^(400*x)",
+        1.0,
+        "evaluation of '10.0^(400.0 * x)' failed at x=1.0: math range error",
+        "construction probe failed at x=0.7734375: "
+        "evaluation of '10.0^(400.0 * x)' failed at x=0.7734375: math range error",
+    ),
+]
+
+
+class TestFrozenEvaluationErrors:
+    """Full messages, as the tree-walking evaluator worded them."""
+
+    @pytest.mark.parametrize("text,x,message,_probe", EVAL_ERROR_CASES)
+    def test_eval_ast_message(self, text, x, message, _probe):
+        with pytest.raises(EvaluationError) as excinfo:
+            eval_ast(parse(text), x)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text,_x,_message,probe", EVAL_ERROR_CASES)
+    def test_probe_message(self, text, _x, _message, probe):
+        with pytest.raises(EvaluationError) as excinfo:
+            to_real_function(parse(text))
+        assert str(excinfo.value) == probe
+
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+    def test_left_operand_fails_first(self, op):
+        with pytest.raises(EvaluationError) as excinfo:
+            eval_ast(parse(f"log(x) {op} (1/x)"), 0.0)
+        assert str(excinfo.value) == "evaluation of 'log(x)' failed at x=0.0: math domain error"
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("text,offset,message", PARSE_ERROR_CASES)
     def test_frozen_messages(self, text, offset, message):
@@ -254,6 +350,13 @@ class TestToRealFunction:
     def test_wraps_and_probes(self):
         f = to_real_function(parse("x^2"))
         assert f(0.5) == 0.25
+
+    def test_calls_check_the_domain(self):
+        f = to_real_function(parse("x^2"))
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got 1\.5"):
+            f(1.5)
+        with pytest.raises(ValueError, match=r"got -0\.5"):
+            f(-0.5)
 
     def test_probe_catches_bad_expressions(self):
         with pytest.raises(EvaluationError, match="probe"):
