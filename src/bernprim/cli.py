@@ -37,7 +37,7 @@ from .core import (
     basis_derivative,
     basis_eval,
     bernstein_approximant,
-    eval_poly,
+    eval_poly,  # noqa: F401 -- unused here; perfbench/tracer.py wraps bernprim.cli.eval_poly
     lipschitz_delta,
     moment_sum,
     poly_values,
@@ -121,10 +121,10 @@ def _report(
 def cmd_approx(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn = bernstein_approximant(f, args.n)
+    grid = _sample_grid(args.samples)
     rows = []
-    for x in _sample_grid(args.samples):
+    for x, approx in zip(grid, poly_values(fn, grid).tolist()):
         exact = f(x)
-        approx = eval_poly(fn, x)
         rows.append([x, exact, approx, abs(exact - approx)])
     max_error = max(row[3] for row in rows)
     params = {
@@ -138,16 +138,16 @@ def cmd_approx(args: argparse.Namespace) -> dict:
 def cmd_primitive(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn_primitive = primitive_approximant(f, args.n)
+    grid = _sample_grid(args.samples)
     rows = []
-    for x in _sample_grid(args.samples):
-        value = eval_poly(fn_primitive, x)
+    for x, value in zip(grid, poly_values(fn_primitive, grid).tolist()):
         oracle = simpson(f, x, args.panels)
         rows.append([x, value, oracle, abs(value - oracle)])
     max_error = max(row[3] for row in rows)
     h = args.fd_h
     deriv_residuals = [
         abs(central_difference(fn_primitive, x, h) - f(x))
-        for x in _sample_grid(args.samples)
+        for x in grid
         if x - h >= 0.0 and x + h <= 1.0
     ]
     params = {

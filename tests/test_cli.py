@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -196,6 +197,24 @@ class TestHighDegree:
         for n, error_fn, error_primitive in report["table"]:
             assert error_fn == pytest.approx(1.0 / (4.0 * n), abs=1e-9)
             assert error_primitive == pytest.approx(1.0 / (6.0 * n), abs=1e-9)
+
+    def test_constant_near_float_max_is_reproduced(self, capsys):
+        # f_n reproduces a constant exactly, however large.
+        argv = ["approx", "--expr", "5e307", "--n", "1000", "--samples", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_json(capsys, argv)
+        assert [row[2] for row in report["table"]] == [5e307] * 3
+        assert report["summary"]["max_error"] == 0.0
+
+    @pytest.mark.parametrize("command,column", [("approx", "f_n"), ("primitive", "F_n")])
+    def test_sample_column_is_eval_poly_bit_for_bit(self, capsys, command, column):
+        argv = [command, "--expr", "sin(3*x)*exp(x)", "--n", "1000", "--samples", "7"]
+        report = run_json(capsys, argv)
+        poly = bernprim.BernsteinPoly.from_dict(report["poly"])
+        index = report["params"]["columns"].index(column)
+        xs = [row[0] for row in report["table"]]
+        assert [row[index] for row in report["table"]] == [bernprim.eval_poly(poly, x) for x in xs]
 
 
 class TestReportSchema:

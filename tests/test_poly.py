@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from bernprim import (
     eval_poly,
     poly_values,
 )
-from bernprim.core import _WINDOW_DEGREE
+from bernprim.core import _WINDOW_BLOCK, _WINDOW_DEGREE
 
 
 def direct_sum(coeffs, x: float) -> float:
@@ -194,6 +195,44 @@ class TestWindowEvaluation:
         for x, value in zip(xs, values):
             assert value == eval_poly(poly, float(x))
         assert (values[0], values[40]) == (poly.coeffs[0], poly.coeffs[-1])
+
+    @pytest.mark.parametrize("degree", [_WINDOW_DEGREE + 1, 1160, 8081, 100_000])
+    def test_bitwise_identical_across_block_boundaries(self, degree):
+        # Points go _WINDOW_BLOCK weights at a time; a grid one short of a
+        # block, exactly one, one past it, or many, gives each point the
+        # value eval_poly computes for it alone.
+        rng = np.random.default_rng(degree)
+        poly = BernsteinPoly(degree, tuple(rng.uniform(-1.0, 1.0, degree + 1)))
+        block = _WINDOW_BLOCK // (2 * (math.ceil(4.6 * math.sqrt(degree)) + 2) + 1)
+        for size in sorted({1, max(1, block - 1), block, block + 1, 1001}):
+            xs = rng.uniform(0.0, 1.0, size)
+            values = poly_values(poly, xs)
+            assert [eval_poly(poly, x) for x in xs.tolist()] == values.tolist(), size
+
+    @pytest.mark.parametrize("degree", [_WINDOW_DEGREE + 1, 1160, 8081, 100_000])
+    def test_extreme_points_are_finite_and_bitwise_identical(self, degree):
+        rng = np.random.default_rng(degree + 1)
+        poly = BernsteinPoly(degree, tuple(rng.uniform(-1.0, 1.0, degree + 1)))
+        xs = np.array([5e-324, 1e-300, 1e-9, 1.0 - 1e-9, 1.0 - 2.0**-53, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = poly_values(poly, xs)
+            assert [eval_poly(poly, x) for x in xs.tolist()] == values.tolist()
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("degree", [_WINDOW_DEGREE + 1, 1000, 100_000])
+    @pytest.mark.parametrize("constant", [1.0, 5e307, -1.7e308])
+    def test_constants_are_reproduced_exactly(self, degree, constant):
+        # f_n reproduces constants; summing the normalised weights against
+        # the coefficients' differences from the one at the mode keeps
+        # that exact, and halving the coefficients first keeps every
+        # difference in float range.
+        poly = BernsteinPoly(degree, (constant,) * (degree + 1))
+        xs = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 1e-9, 1.0 - 2.0**-53]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = poly_values(poly, xs)
+        assert np.all(values == constant)
 
 
 class TestDerivativePoly:
