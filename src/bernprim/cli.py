@@ -344,7 +344,7 @@ def _real_in(hi: float = math.inf) -> Callable[[str], float]:
 
 
 _degree = _int_in(1, MAX_DEGREE)
-_count = _int_in(2)
+_count = _int_in(2, MAX_DEGREE + 1)
 _panels = _int_in(2, even=True)
 
 

@@ -48,14 +48,6 @@ _EXACT_COMB_LIMIT = 2000
 # this the evaluation goes through the log domain.
 _NAIVE_BASIS_LIMIT = 50
 
-# eval_poly and poly_values run de Casteljau's O(n^2) recursion up to this
-# degree and sum a window of basis weights (_window_values, O(sqrt n) per
-# point) above it.  On a 2-CPU x86 host at 1001 points the window is
-# faster from between degree 10 and 20 (1.1 against 1.8 ms at 20, 1.6
-# against 35 ms at 100); the threshold stays at 100 so that every degree
-# in the goldens (at most 65) keeps de Casteljau's bits.
-_WINDOW_DEGREE = 100
-
 # _window_values takes its points in blocks of at most this many window
 # weights, so each temporary stays at 64 KB whatever the grid size.
 _WINDOW_BLOCK = 2**13
@@ -338,8 +330,9 @@ def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
     scale, so the result is a convex combination of the coefficients.
     It is summed as c_mode + sum_m w_m (c_m - c_mode), on halved
     coefficients so that no difference overflows: a constant above the
-    subnormal range comes back exactly, and the rounding follows the
-    spread of the coefficients in the window rather than their size.
+    subnormal range comes back exactly (a subnormal one loses its last
+    bit to the halving), and the rounding follows the spread of the
+    coefficients in the window rather than their size.
     The window reaches more than 4.6 sqrt(n) past n x on each side, so
     by Hoeffding's bound 2 exp(-2 t^2 / n) the dropped weights sum to
     under 1e-18.
@@ -406,40 +399,26 @@ def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
 def eval_poly(p: BernsteinPoly, x: float) -> float:
     """Evaluate p at x as a convex combination of its coefficients.
 
-    Up to degree _WINDOW_DEGREE this is the de Casteljau recursion; above
-    it, the normalised window of basis weights of _window_values.  Either
-    way the result cannot leave [min coeff, max coeff] up to rounding.
+    The normalised window of basis weights of _window_values, at one
+    point, so the result cannot leave [min coeff, max coeff] up to
+    rounding.
     """
     x = _check_unit(x)
-    if p.degree > _WINDOW_DEGREE:
-        return float(_window_values(p.coeffs, np.array([x]))[0])
-    beta = np.asarray(p.coeffs, dtype=float)
-    while beta.size > 1:
-        beta = (1.0 - x) * beta[:-1] + x * beta[1:]
-    return float(beta[0])
+    return float(_window_values(p.coeffs, np.array([x]))[0])
 
 
 def poly_values(p: BernsteinPoly, xs: Sequence[float]) -> np.ndarray:
     """Evaluate p at many points at once.
 
-    Runs the same scheme as eval_poly with identical per-point arithmetic
-    (de Casteljau one row per point, or one basis window per row), so
-    results match eval_poly bitwise.
+    One _window_values pass, one basis window per row; a row's arithmetic
+    depends on its own point only, so results match eval_poly bitwise.
     """
     grid = np.asarray(xs, dtype=float)
     if grid.ndim != 1:
         raise ValueError("xs must be one-dimensional")
     if grid.size and not (0.0 <= grid.min() and grid.max() <= 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
-    if p.degree > _WINDOW_DEGREE:
-        return _window_values(p.coeffs, grid)
-    coeffs = np.asarray(p.coeffs, dtype=float)
-    beta = np.broadcast_to(coeffs, (grid.size, p.degree + 1)).copy()
-    weight = grid[:, None]
-    co_weight = (1.0 - grid)[:, None]
-    while beta.shape[1] > 1:
-        beta = co_weight * beta[:, :-1] + weight * beta[:, 1:]
-    return beta[:, 0]
+    return _window_values(p.coeffs, grid)
 
 
 def derivative_poly(p: BernsteinPoly) -> BernsteinPoly:

@@ -92,6 +92,11 @@ class TestExitCodes:
             ["bound", "--expr", "x", "--eps", "1e-300", "--delta", "1e-10"],
             ["bound", "--expr", "x", "--eps", "1e-200", "--delta", "1e-100"],
             ["bound", "--expr", "1.79e308", "--eps", "0.5", "--delta", "0.5", "--grid", "11"],
+            # Point counts above MAX_DEGREE + 1, before any array is built.
+            ["approx", "--expr", "x", "--n", "1", "--samples", "100002"],
+            ["primitive", "--expr", "x", "--n", "1", "--samples", "100002"],
+            ["converge", "--expr", "x", "--degrees", "1", "--grid", "100002"],
+            ["bound", "--expr", "x", "--eps", "0.5", "--delta", "0.5", "--grid", "100002"],
         ],
     )
     def test_usage_errors_are_two(self, capsys, argv):
@@ -498,9 +503,9 @@ _EXPR = _flag("--expr", _EXPRS, ["x^^2", "", *_DEEP], omitted="bad")
 # pair with which others; with 1000 first, approx and primitive both run to
 # a report at that degree.
 _DEGREE = _flag("--n", ["1000", "1", "8", "65"], ["100001", *_BAD], omitted="bad")
-_SAMPLES = _flag("--samples", ["2", "5", "11"])
+_SAMPLES = _flag("--samples", ["2", "5", "11"], ["100002", *_BAD])
 _PANELS = _flag("--panels", ["2", "8", "64"], ["7", *_BAD], omitted=None)
-_GRID = _flag("--grid", ["2", "21", "101"], ["1", *_BAD], omitted=None)
+_GRID = _flag("--grid", ["2", "21", "101"], ["1", "100002", *_BAD], omitted=None)
 _EMIT = _flag("--emit", ["json", "csv"], ["xml"])
 _STEP = (
     [["--delta=0.5"], ["--delta=1"], ["--delta=1e-10"], ["--delta=1e-100"], ["--lipschitz=1"],
