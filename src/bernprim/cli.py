@@ -43,7 +43,7 @@ from .core import (
     poly_values,
     primitive_approximant,
     required_degree,
-    sup_norm_distance,
+    sup_norm_distance,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
 )
 from .expr import ParseError, parse, to_real_function
 from .quadrature import central_difference, simpson
@@ -92,8 +92,15 @@ IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_centr
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
 
 
-def _sample_grid(count: int) -> list[float]:
-    return [i / (count - 1) for i in range(count)]
+def _tabulate(f: Callable[[float], float], count: int) -> tuple[list[float], list[float]]:
+    """The grid i/(count-1), i = 0..count-1, and f called once at each of its points."""
+    xs = [i / (count - 1) for i in range(count)]
+    return xs, [f(x) for x in xs]
+
+
+def _sup_error(p: BernsteinPoly, xs: list[float], reference: list[float]) -> float:
+    """max |p(x) - reference value| over xs, from one poly_values call."""
+    return max(abs(v - r) for v, r in zip(poly_values(p, xs).tolist(), reference))
 
 
 def _report(
@@ -121,11 +128,8 @@ def _report(
 def cmd_approx(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn = bernstein_approximant(f, args.n)
-    grid = _sample_grid(args.samples)
-    rows = []
-    for x, approx in zip(grid, poly_values(fn, grid).tolist()):
-        exact = f(x)
-        rows.append([x, exact, approx, abs(exact - approx)])
+    xs, fx = _tabulate(f, args.samples)
+    rows = [[x, y, a, abs(y - a)] for x, y, a in zip(xs, fx, poly_values(fn, xs).tolist())]
     max_error = max(row[3] for row in rows)
     params = {
         "n": args.n,
@@ -138,18 +142,16 @@ def cmd_approx(args: argparse.Namespace) -> dict:
 def cmd_primitive(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn_primitive = primitive_approximant(f, args.n)
-    grid = _sample_grid(args.samples)
-    rows = []
-    for x, value in zip(grid, poly_values(fn_primitive, grid).tolist()):
-        oracle = simpson(f, x, args.panels)
-        rows.append([x, value, oracle, abs(value - oracle)])
+    xs, oracle = _tabulate(lambda x: simpson(f, x, args.panels), args.samples)
+    fx = _tabulate(f, args.samples)[1]  # after the oracle, which meets any x where f fails first
+    values = poly_values(fn_primitive, xs).tolist()
+    rows = [[x, v, o, abs(v - o)] for x, v, o in zip(xs, values, oracle)]
     max_error = max(row[3] for row in rows)
     h = args.fd_h
-    deriv_residuals = [
-        abs(central_difference(fn_primitive, x, h) - f(x))
-        for x in grid
-        if x - h >= 0.0 and x + h <= 1.0
-    ]
+    inner = [i for i, x in enumerate(xs) if x - h >= 0.0 and x + h <= 1.0]
+    stencil = [t for i in inner for t in (xs[i] + h, xs[i] - h)]
+    at = dict(zip(stencil, poly_values(fn_primitive, stencil).tolist()))
+    deriv_residuals = [abs(central_difference(at.__getitem__, xs[i], h) - fx[i]) for i in inner]
     params = {
         "n": args.n,
         "samples": args.samples,
@@ -206,14 +208,13 @@ def cmd_identities(args: argparse.Namespace) -> dict:
 
 def cmd_converge(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
-    grid = _sample_grid(args.grid)
-    oracle = [simpson(f, x, args.panels) for x in grid]
+    xs, oracle = _tabulate(lambda x: simpson(f, x, args.panels), args.grid)
+    fx = _tabulate(f, args.grid)[1]  # after the oracle, which meets any x where f fails first
     table = []
     for n in args.degrees:
         fn = bernstein_approximant(f, n)
-        values = poly_values(antiderivative_poly(fn), grid)
-        error_fn = sup_norm_distance(fn, f, args.grid).value
-        table.append([float(n), error_fn, float(max(abs(v - o) for v, o in zip(values, oracle)))])
+        primitive = antiderivative_poly(fn)
+        table.append([float(n), _sup_error(fn, xs, fx), _sup_error(primitive, xs, oracle)])
     rates = [
         math.log(e_a / e_b) / math.log(n_b / n_a) if e_a > 0.0 and e_b > 0.0 else 0.0
         for (n_a, e_a, _), (n_b, e_b, _) in zip(table, table[1:])
@@ -230,8 +231,9 @@ def cmd_converge(args: argparse.Namespace) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
-    sup_estimate = sup_norm_distance(f, lambda _x: 0.0, args.grid)
-    sup_used = SUP_SAFETY * sup_estimate.value
+    xs, fx = _tabulate(f, args.grid)
+    sup_estimate = max(map(abs, fx))
+    sup_used = SUP_SAFETY * sup_estimate
     delta = args.delta if args.delta is not None else lipschitz_delta(args.lipschitz, args.eps)
     try:
         # The zero function is reproduced at any degree.
@@ -241,11 +243,9 @@ def cmd_bound(args: argparse.Namespace) -> dict:
         # eps * delta^2 underflowed to 0, or sup or the quotient overflowed.
         degree = math.inf
     if degree > MAX_DEGREE:
-        raise UsageError(
-            f"required degree {degree} exceeds the supported maximum {MAX_DEGREE}"
-        )
+        raise UsageError(f"required degree {degree} exceeds the supported maximum {MAX_DEGREE}")
     fn = bernstein_approximant(f, degree)
-    measured = sup_norm_distance(fn, f, args.grid).value
+    measured = _sup_error(fn, xs, fx)
     params = {
         "eps": args.eps,
         "delta_flag": args.delta,
@@ -258,7 +258,7 @@ def cmd_bound(args: argparse.Namespace) -> dict:
         "max_error": measured,
         "passed": measured < args.eps,
         "delta": delta,
-        "sup_norm_estimate": sup_estimate.value,
+        "sup_norm_estimate": sup_estimate,
         "sup_bound_used": sup_used,
         "required_degree": degree,
     }
@@ -345,7 +345,7 @@ def _real_in(hi: float = math.inf) -> Callable[[str], float]:
 
 _degree = _int_in(1, MAX_DEGREE)
 _count = _int_in(2, MAX_DEGREE + 1)
-_panels = _int_in(2, even=True)
+_panels = _int_in(2, MAX_DEGREE, even=True)
 
 
 def _degree_list(text: str) -> list[int]:

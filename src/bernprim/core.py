@@ -223,24 +223,23 @@ def basis_all(n: int, x: float) -> np.ndarray:
         row[0 if x == 0.0 else n] = 1.0
         return row
     mode = min(int(x * (n + 1)), n)
-    row = _weights_from_mode(n, x, mode, 0, n)
+    row = _weights_from_mode(n, x, mode)
     row *= basis_eval(mode, n, x)
     return row
 
 
-def _weights_from_mode(n: int, x: float, mode: int, lo: int, hi: int) -> np.ndarray:
-    """Basis values at indices lo..hi, divided by the one at mode, for 0 < x < 1.
+def _weights_from_mode(n: int, x: float, mode: int) -> np.ndarray:
+    """All n+1 basis values divided by the one at mode, for 0 < x < 1.
 
     Walks outward from 1.0 at mode with the exact neighbour ratio
     (n-m)/(m+1) * x/(1-x); the far tails underflow harmlessly to 0.
     """
-    m = np.arange(lo, hi, dtype=float)
+    m = np.arange(n, dtype=float)
     ratios = (x / (1.0 - x)) * (n - m) / (m + 1.0)  # w[m+1] / w[m]
-    k = mode - lo
-    w = np.ones(hi - lo + 1)
-    w[k + 1 :] = np.cumprod(ratios[k:])
-    if k > 0:
-        w[:k] = np.cumprod(1.0 / ratios[k - 1 :: -1])[::-1]
+    w = np.ones(n + 1)
+    w[mode + 1 :] = np.cumprod(ratios[mode:])
+    if mode > 0:
+        w[:mode] = np.cumprod(1.0 / ratios[mode - 1 :: -1])[::-1]
     return w
 
 

@@ -417,7 +417,12 @@ def _compile(node: ExprAst) -> Callable[[float], float]:
 
 
 def eval_ast(node: ExprAst, x: float) -> float:
-    """Evaluate the tree at x in [0, 1]; failures name the offending node."""
+    """Evaluate the tree at x in [0, 1]; failures name the offending node.
+
+    The tree is compiled afresh at every call, which costs several times
+    the evaluation itself; to evaluate one tree at many points, compile it
+    once with to_real_function and call the result.
+    """
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")

@@ -97,6 +97,9 @@ class TestExitCodes:
             ["primitive", "--expr", "x", "--n", "1", "--samples", "100002"],
             ["converge", "--expr", "x", "--degrees", "1", "--grid", "100002"],
             ["bound", "--expr", "x", "--eps", "0.5", "--delta", "0.5", "--grid", "100002"],
+            # Simpson panels above MAX_DEGREE, before any oracle row runs.
+            ["primitive", "--expr", "x", "--n", "1", "--samples", "2", "--panels", "100002"],
+            ["converge", "--expr", "x", "--degrees", "1", "--grid", "2", "--panels", "100002"],
         ],
     )
     def test_usage_errors_are_two(self, capsys, argv):
@@ -147,11 +150,12 @@ class TestExitCodes:
                 ["converge", "--expr", "1e308*sin(30*x)", "--degrees", "2,4", "--grid", "5", "--panels", "2"],
                 "table[0][2]",
             ),
+            (["approx", "--expr", "1.7e308*sin(30*x)", "--n", "3", "--samples", "41"], "table[2][3]"),
         ],
     )
     def test_non_finite_report_is_three(self, capsys, argv, field):
-        # Every sample of f is finite, but the Simpson oracle's 4 * f
-        # overflows, so the report would carry an infinity.
+        # Every sample of f is finite, but the Simpson oracle's 4 * f, or
+        # approx's f - f_n, overflows, so the report would carry an infinity.
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == ""
@@ -220,6 +224,31 @@ class TestHighDegree:
         index = report["params"]["columns"].index(column)
         xs = [row[0] for row in report["table"]]
         assert [row[index] for row in report["table"]] == [bernprim.eval_poly(poly, x) for x in xs]
+
+
+class TestWork:
+    """Each report calls f once per point of its grid, besides sampling and the oracle."""
+
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            # 257 probe + 101 grid + 34 samples at degree 33.
+            (["bound", "--expr", "x", "--eps", "0.5", "--delta", "0.5", "--grid", "101"], 392),
+            # 257 probe + 20 Simpson rows of 3 nodes + 21 grid + 5 + 9 samples.
+            (["converge", "--expr", "x", "--degrees", "4,8", "--grid", "21", "--panels", "2"], 352),
+        ],
+    )
+    def test_calls_of_f(self, capsys, monkeypatch, argv, calls):
+        points = []
+        real_function = cli.to_real_function
+
+        def counted(tree):
+            evaluator = real_function(tree).evaluator
+            return bernprim.RealFunction(lambda x: points.append(x) or evaluator(x))
+
+        monkeypatch.setattr(cli, "to_real_function", counted)
+        run_json(capsys, argv)
+        assert len(points) == calls
 
 
 class TestReportSchema:
@@ -504,7 +533,7 @@ _EXPR = _flag("--expr", _EXPRS, ["x^^2", "", *_DEEP], omitted="bad")
 # a report at that degree.
 _DEGREE = _flag("--n", ["1000", "1", "8", "65"], ["100001", *_BAD], omitted="bad")
 _SAMPLES = _flag("--samples", ["2", "5", "11"], ["100002", *_BAD])
-_PANELS = _flag("--panels", ["2", "8", "64"], ["7", *_BAD], omitted=None)
+_PANELS = _flag("--panels", ["2", "8", "64"], ["7", "100002", *_BAD], omitted=None)
 _GRID = _flag("--grid", ["2", "21", "101"], ["1", "100002", *_BAD], omitted=None)
 _EMIT = _flag("--emit", ["json", "csv"], ["xml"])
 _STEP = (
