@@ -40,13 +40,30 @@ __all__ = [
     "sup_norm_distance",
 ]
 
-# math.comb is exact and cheap up to here; beyond it log-gamma is used for
-# the logarithmic binomial so that basis evaluation never leaves float range.
-_EXACT_COMB_LIMIT = 2000
-
 # Naive C(n,m) * x^m * (1-x)^(n-m) is safe for small degrees only; above
-# this the evaluation goes through the log domain.
+# this basis_eval uses Loader's saddle-point form.
 _NAIVE_BASIS_LIMIT = 50
+
+# stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 1..16, to double
+# precision; above 16 its asymptotic series is used (see _stirlerr).
+_STIRLERR = (
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+    0.0052076559196096404,
+)
 
 # _window_values takes its points in blocks of at most this many window
 # weights, so each temporary stays at 64 KB whatever the grid size.
@@ -171,8 +188,7 @@ def binomial_convention(n: int, m: int) -> int:
     """C(n, m), with value 0 whenever m < 0 or m > n.
 
     Exact integer arithmetic, so no overflow at any degree; callers that
-    need the value in float range should work with logarithms instead
-    (see basis_eval).
+    need a basis weight in float range should use basis_eval instead.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -181,18 +197,54 @@ def binomial_convention(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-def _log_binomial(n: int, m: int) -> float:
-    if n <= _EXACT_COMB_LIMIT:
-        return math.log(math.comb(n, m))
-    return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+def _stirlerr(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k), the error of Stirling's formula, for k >= 1."""
+    if k <= len(_STIRLERR):
+        return _STIRLERR[k - 1]
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(k: int, mean: float, d: float) -> float:
+    """The deviance k log(k / mean) + mean - k, for k >= 1 and d = k - mean.
+
+    d is passed to full precision, since mean itself is rounded.  Close to
+    the mean (|d| < 0.1 (k + mean)) it is the series
+    2k sum_j v^(2j+1) / (2j+1) - d v in v = d / (k + mean), whose terms
+    shrink a hundredfold each.  Farther out it is -k log1p(-d/k) - d while
+    mean >= k/2, and the closed form below that, where the terms no longer
+    cancel.
+    """
+    if abs(d) < 0.1 * (k + mean):
+        v = d / (k + mean)
+        total = d * v
+        term = 2.0 * k * v
+        v *= v
+        j = 1
+        while True:
+            term *= v
+            grown = total + term / (2 * j + 1)
+            if grown == total:
+                return total
+            total = grown
+            j += 1
+    if mean < 0.5 * k:
+        return k * math.log(k / mean) + mean - k
+    return -k * math.log1p(-d / k) - d
 
 
 def basis_eval(m: int, n: int, x: float) -> float:
     """Value of the degree-n Bernstein basis polynomial with index m at x.
 
-    Out-of-range m gives 0.  For n above a small cutoff the product is
-    formed in the log domain, never as a large binomial times a tiny
-    power, so degrees up to 1e5 and beyond stay in float range.
+    Out-of-range m gives 0.  Up to a small degree it is the naive product;
+    above, it is Loader's saddle-point form
+        exp(stirlerr(n) - stirlerr(m) - stirlerr(n-m) - bd0(m, nx) - bd0(n-m, n(1-x)))
+        / sqrt(2 pi m (n-m) / n),
+    whose terms are all small near the mode, so the weight there is
+    accurate to a few ulp at any degree and never leaves float range.
+    Away from the mode the relative error grows like |m - nx| ulp.
+    (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000.)
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -205,41 +257,76 @@ def basis_eval(m: int, n: int, x: float) -> float:
         return 1.0 if m == n else 0.0
     if n <= _NAIVE_BASIS_LIMIT:
         return math.comb(n, m) * x**m * (1.0 - x) ** (n - m)
-    log_value = _log_binomial(n, m) + m * math.log(x) + (n - m) * math.log1p(-x)
-    return math.exp(log_value)
+    if m == 0:
+        return math.exp(n * math.log1p(-x))
+    if m == n:
+        return math.exp(n * math.log(x))
+    # m - n x to full precision: x is a dyadic rational num / den.
+    num, den = x.as_integer_ratio()
+    d = (m * den - n * num) / den
+    exponent = (
+        _stirlerr(n)
+        - _stirlerr(m)
+        - _stirlerr(n - m)
+        - _bd0(m, n * x, d)
+        - _bd0(n - m, n * (1.0 - x), -d)
+    )
+    return math.exp(exponent) * math.sqrt(n / (2.0 * math.pi * m * (n - m)))
 
 
 def basis_all(n: int, x: float) -> np.ndarray:
-    """All n+1 basis values at x in one O(n) pass.
-
-    Scales _weights_from_mode by the largest entry (index floor((n+1) x)),
-    computed in the log domain.
-    """
+    """All n+1 basis values at x in one O(n) pass (see _basis_window)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    x = _check_unit(x)
-    if x in (0.0, 1.0):
-        row = np.zeros(n + 1)
-        row[0 if x == 0.0 else n] = 1.0
-        return row
-    mode = min(int(x * (n + 1)), n)
-    row = _weights_from_mode(n, x, mode)
-    row *= basis_eval(mode, n, x)
-    return row
+    return _basis_window(n, _check_unit(x), n)[1]
 
 
-def _weights_from_mode(n: int, x: float, mode: int) -> np.ndarray:
-    """All n+1 basis values divided by the one at mode, for 0 < x < 1.
+def _window_half(n: int) -> int:
+    """Half-width of the basis window around the mode at degree n.
 
-    Walks outward from 1.0 at mode with the exact neighbour ratio
-    (n-m)/(m+1) * x/(1-x); the far tails underflow harmlessly to 0.
+    The window |m - mode| <= ceil(4.6 sqrt n) + 2 reaches more than
+    4.6 sqrt(n) past n x on each side (the mode floor((n+1) x) is within 1
+    of n x), so by Hoeffding's bound 2 exp(-2 t^2 / n) the weights outside
+    it sum to under 1e-18.
     """
-    m = np.arange(n, dtype=float)
-    ratios = (x / (1.0 - x)) * (n - m) / (m + 1.0)  # w[m+1] / w[m]
-    w = np.ones(n + 1)
-    w[mode + 1 :] = np.cumprod(ratios[mode:])
-    if mode > 0:
-        w[:mode] = np.cumprod(1.0 / ratios[mode - 1 :: -1])[::-1]
+    return math.ceil(4.6 * math.sqrt(n)) + 2
+
+
+def _basis_window(n: int, x: float, half: int) -> tuple[int, np.ndarray]:
+    """(lo, the basis values at m = lo..hi), for |m - mode| <= half clipped to 0..n.
+
+    The mode is floor((n+1) x), the index of the largest weight.  At x = 0
+    and x = 1 the row is an exact unit vector; inside, it is
+    _weights_from_mode scaled by basis_eval at the mode, never by its own
+    sum, so the partition of unity stays something to check.
+    """
+    mode = min(int(x * (n + 1)), n)
+    lo, hi = max(mode - half, 0), min(mode + half, n)
+    if x in (0.0, 1.0):
+        row = np.zeros(hi - lo + 1)
+        row[mode - lo] = 1.0
+        return lo, row
+    row = _weights_from_mode(n, x, mode, lo, hi)
+    row *= basis_eval(mode, n, x)
+    return lo, row
+
+
+def _weights_from_mode(n: int, x: float, mode: int, lo: int, hi: int) -> np.ndarray:
+    """The basis values at m = lo..hi divided by the one at mode, for 0 < x < 1.
+
+    Walks outward from 1.0 at mode (lo <= mode <= hi) with the exact
+    neighbour ratio (n-m)/(m+1) * x/(1-x); far tails underflow harmlessly
+    to 0.
+    """
+    m = np.arange(lo, hi, dtype=float)
+    ratios = (x / (1.0 - x)) * (n - m)
+    ratios /= m + 1.0  # w[m+1] / w[m]
+    w = np.empty(hi - lo + 1)
+    at = mode - lo
+    w[at] = 1.0
+    ratios[at:].cumprod(out=w[at + 1 :])
+    if at > 0:
+        np.reciprocal(ratios[at - 1 :: -1]).cumprod(out=w[at - 1 :: -1])
     return w
 
 
@@ -260,15 +347,17 @@ def moment_sum(n: int, x: float, kind: MomentKind) -> float:
 
     kind "partition" sums the row itself (closed form 1), "first" sums
     m * p_m (closed form n x), and "second_central" sums (n x - m)^2 * p_m
-    (closed form n x (1 - x)).
+    (closed form n x (1 - x)).  The sums run over the window
+    |m - mode| <= _window_half(n), O(sqrt n) weights; the weights left
+    out total under 1e-18.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     x = _check_unit(x)
-    row = basis_all(n, x)
+    lo, row = _basis_window(n, x, _window_half(n))
     if kind == "partition":
         return float(row.sum())
-    m = np.arange(n + 1, dtype=float)
+    m = np.arange(lo, lo + row.size, dtype=float)
     if kind == "first":
         return float(np.dot(m, row))
     if kind == "second_central":
@@ -321,7 +410,7 @@ def _windows(table: np.ndarray, width: int, step: int = 1) -> np.ndarray:
 
 
 def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
-    """Sum of coeffs[m] * b_{m,n}(x) over |m - mode| <= ceil(4.6 sqrt n) + 2, at each x.
+    """Sum of coeffs[m] * b_{m,n}(x) over |m - mode| <= _window_half(n), at each x.
 
     The weights are basis_all's relative to the one at the mode
     floor((n+1) x), walked outward from 1.0 with the exact neighbour
@@ -332,9 +421,8 @@ def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
     subnormal range comes back exactly (a subnormal one loses its last
     bit to the halving), and the rounding follows the spread of the
     coefficients in the window rather than their size.
-    The window reaches more than 4.6 sqrt(n) past n x on each side, so
-    by Hoeffding's bound 2 exp(-2 t^2 / n) the dropped weights sum to
-    under 1e-18.
+    The window is _window_half(n) wide on each side, so the dropped
+    weights sum to under 1e-18.
 
     Points go _WINDOW_BLOCK weights at a time, one window per row.  A
     row's arithmetic depends on its own point alone, so a point gets the
@@ -348,7 +436,7 @@ def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
     x = xs[inner]
     odds = (x / (1.0 - x))[:, None]
     modes = np.minimum((x * (n + 1)).astype(np.intp), n)
-    half = math.ceil(4.6 * math.sqrt(n)) + 2
+    half = _window_half(n)
     # Tables over the indices lo..hi that the windows reach.  Outside 0..n
     # the coefficients are 0 and so is every ratio that steps out of
     # range, which makes each weight there exactly 0.

@@ -5,13 +5,19 @@ Oracles
 * `exact_basis` computes the weight in exact rational arithmetic
   (`fractions.Fraction` of the float inputs), independent of every code
   path under test.
+* `mp_basis` computes the weight with 40-digit `mpmath`, for degrees
+  where exact rationals would be too slow.
 * `fd_derivative` checks the closed-form basis derivative against a
   central difference.
+* Windowed moment sums are checked against the same sums over the full
+  row from `basis_all`.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +25,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bernprim.core as core
 from bernprim import basis_all, basis_derivative, basis_eval, binomial_convention, moment_sum
+from bernprim.core import _window_half
+
+# Degrees for the mpmath comparison: naive product (10), just past its
+# cutoff (60), and Loader's form up to the CLI's MAX_DEGREE.
+ACCURACY_DEGREES = [10, 60, 1000, 2001, 100000]
+ACCURACY_POINTS = [1e-4, 0.003, 0.1, 0.37, 0.5, 0.77, 0.93, 0.9995]
 
 
 def exact_basis(m: int, n: int, x: float) -> Fraction:
@@ -27,6 +40,22 @@ def exact_basis(m: int, n: int, x: float) -> Fraction:
         return Fraction(0)
     fx = Fraction(x)
     return math.comb(n, m) * fx**m * (1 - fx) ** (n - m)
+
+
+def mp_basis(m: int, n: int, x: float):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        fx = mpmath.mpf(x)
+        return mpmath.binomial(n, m) * fx**m * (1 - fx) ** (n - m)
+
+
+def relative_error(m: int, n: int, x: float) -> float:
+    exact = mp_basis(m, n, x)
+    return float(abs(basis_eval(m, n, x) - exact) / exact)
+
+
+def mode_of(n: int, x: float) -> int:
+    return min(int(x * (n + 1)), n)
 
 
 def fd_derivative(m: int, n: int, x: float, h: float = 1e-6) -> float:
@@ -93,6 +122,27 @@ class TestBasisEval:
     def test_always_in_unit_range(self, n, m, x):
         value = basis_eval(m, n, x)
         assert 0.0 <= value <= 1.0
+
+
+class TestBasisEvalAccuracy:
+    """basis_eval against 40-digit mpmath, at the mode and across the window."""
+
+    @pytest.mark.parametrize("n", ACCURACY_DEGREES)
+    def test_mode_weight_to_a_few_ulp(self, n):
+        for x in ACCURACY_POINTS:
+            assert relative_error(mode_of(n, x), n, x) <= 1e-14, x
+
+    @pytest.mark.parametrize("n", ACCURACY_DEGREES)
+    def test_window_weights(self, n):
+        # Edges, quarter and half points, and near neighbours of the mode;
+        # weights below the normal range carry no relative accuracy.
+        half = _window_half(n)
+        for x in ACCURACY_POINTS:
+            mode = mode_of(n, x)
+            offsets = (-half, -half // 2, -half // 4, -3, -1, 1, 2, half // 4, half // 2, half)
+            for m in sorted({min(max(mode + k, 0), n) for k in offsets}):
+                if mp_basis(m, n, x) > 1e-300:
+                    assert relative_error(m, n, x) <= 5e-13, (m, x)
 
 
 class TestBasisAll:
@@ -162,6 +212,42 @@ class TestMomentSum:
                 assert moment_sum(n, x, "second_central") == pytest.approx(
                     n * x * (1.0 - x), abs=1e-8 * n
                 )
+
+    def test_window_matches_full_row(self):
+        # Log-uniform degrees up to 1e5; a few draws land on the endpoints.
+        rng = random.Random(20)
+        for _ in range(500):
+            n = int(10 ** rng.uniform(0, 5))
+            x = rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.random()
+            row = basis_all(n, x)
+            m = np.arange(n + 1, dtype=float)
+            full = {
+                "partition": row.sum(),
+                "first": np.dot(m, row),
+                "second_central": np.dot((n * x - m) ** 2, row),
+            }
+            for kind, scale in (("partition", 1), ("first", n), ("second_central", n)):
+                assert abs(moment_sum(n, x, kind) - full[kind]) <= 1e-15 * scale, (n, x, kind)
+
+    def test_window_is_not_normalised(self, monkeypatch):
+        # Were the window divided by its own sum, the partition identity
+        # would hold by construction and could never FAIL.
+        exact = core.basis_eval
+        monkeypatch.setattr(core, "basis_eval", lambda m, n, x: 1.001 * exact(m, n, x))
+        for n in (7, 60, 1000, 100000):
+            for x in (0.03, 0.5, 0.81):
+                assert moment_sum(n, x, "partition") == pytest.approx(1.001, abs=1e-12)
+
+    def test_endpoint_rows_are_exact_and_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 60, 100000):
+                assert moment_sum(n, 0.0, "partition") == 1.0
+                assert moment_sum(n, 1.0, "partition") == 1.0
+                assert moment_sum(n, 0.0, "first") == 0.0
+                assert moment_sum(n, 1.0, "first") == n
+                assert moment_sum(n, 0.0, "second_central") == 0.0
+                assert moment_sum(n, 1.0, "second_central") == 0.0
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

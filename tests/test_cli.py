@@ -306,6 +306,15 @@ class TestReportSchema:
         assert all(row[3] == 1.0 for row in report["table"])
         assert report["summary"]["passed"] is True
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_identities_pass_at_max_degree(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, ["identities", "--n-max", "100000", "--grid", "101", "--seed", str(seed)]
+        )
+        assert code == 0, out
+        partition = json.loads(out)["table"][1]
+        assert partition[1] < 1e-12
+
     def test_converge_fields(self, capsys):
         report = run_json(
             capsys,
