@@ -92,10 +92,14 @@ IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_centr
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
 
 
-def _tabulate(f: Callable[[float], float], count: int) -> tuple[list[float], list[float]]:
-    """The grid i/(count-1), i = 0..count-1, and f called once at each of its points."""
+def _tabulate(count: int, *functions: Callable[[float], float]) -> tuple[list[float], ...]:
+    """The grid i/(count-1), i = 0..count-1, then one column of values per function.
+
+    Columns run in argument order, one call per point.  A Simpson oracle goes
+    before f: its row at x ends with f(x), so it meets first any x where f fails.
+    """
     xs = [i / (count - 1) for i in range(count)]
-    return xs, [f(x) for x in xs]
+    return (xs, *([fn(x) for x in xs] for fn in functions))
 
 
 def _sup_error(p: BernsteinPoly, xs: list[float], reference: list[float]) -> float:
@@ -128,7 +132,7 @@ def _report(
 def cmd_approx(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn = bernstein_approximant(f, args.n)
-    xs, fx = _tabulate(f, args.samples)
+    xs, fx = _tabulate(args.samples, f)
     rows = [[x, y, a, abs(y - a)] for x, y, a in zip(xs, fx, poly_values(fn, xs).tolist())]
     max_error = max(row[3] for row in rows)
     params = {
@@ -142,8 +146,7 @@ def cmd_approx(args: argparse.Namespace) -> dict:
 def cmd_primitive(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn_primitive = primitive_approximant(f, args.n)
-    xs, oracle = _tabulate(lambda x: simpson(f, x, args.panels), args.samples)
-    fx = _tabulate(f, args.samples)[1]  # after the oracle, which meets any x where f fails first
+    xs, oracle, fx = _tabulate(args.samples, lambda x: simpson(f, x, args.panels), f)
     values = poly_values(fn_primitive, xs).tolist()
     rows = [[x, v, o, abs(v - o)] for x, v, o in zip(xs, values, oracle)]
     max_error = max(row[3] for row in rows)
@@ -208,8 +211,7 @@ def cmd_identities(args: argparse.Namespace) -> dict:
 
 def cmd_converge(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
-    xs, oracle = _tabulate(lambda x: simpson(f, x, args.panels), args.grid)
-    fx = _tabulate(f, args.grid)[1]  # after the oracle, which meets any x where f fails first
+    xs, oracle, fx = _tabulate(args.grid, lambda x: simpson(f, x, args.panels), f)
     table = []
     for n in args.degrees:
         fn = bernstein_approximant(f, n)
@@ -231,7 +233,7 @@ def cmd_converge(args: argparse.Namespace) -> dict:
 
 def cmd_bound(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
-    xs, fx = _tabulate(f, args.grid)
+    xs, fx = _tabulate(args.grid, f)
     sup_estimate = max(map(abs, fx))
     sup_used = SUP_SAFETY * sup_estimate
     delta = args.delta if args.delta is not None else lipschitz_delta(args.lipschitz, args.eps)

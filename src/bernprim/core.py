@@ -112,15 +112,15 @@ class BernsteinPoly:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if len(coeffs) != self.degree + 1:
             raise ValueError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, "
                 f"got {len(coeffs)}"
             )
-        for j, c in enumerate(coeffs):
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient {j} is not finite: {c!r}")
+        if not all(map(math.isfinite, coeffs)):
+            j = next(j for j, c in enumerate(coeffs) if not math.isfinite(c))
+            raise ValueError(f"coefficient {j} is not finite: {coeffs[j]!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, x: float) -> float:
@@ -296,38 +296,27 @@ def _basis_window(n: int, x: float, half: int) -> tuple[int, np.ndarray]:
     """(lo, the basis values at m = lo..hi), for |m - mode| <= half clipped to 0..n.
 
     The mode is floor((n+1) x), the index of the largest weight.  At x = 0
-    and x = 1 the row is an exact unit vector; inside, it is
-    _weights_from_mode scaled by basis_eval at the mode, never by its own
-    sum, so the partition of unity stays something to check.
+    and x = 1 the row is an exact unit vector.  Inside, it walks outward
+    from 1.0 at the mode with the exact neighbour ratio
+    (n-m)/(m+1) * x/(1-x), so far tails underflow harmlessly to 0, and is
+    scaled by basis_eval at the mode, never by its own sum, so the
+    partition of unity stays something to check.
     """
     mode = min(int(x * (n + 1)), n)
     lo, hi = max(mode - half, 0), min(mode + half, n)
+    at = mode - lo
+    row = np.zeros(hi - lo + 1)
+    row[at] = 1.0
     if x in (0.0, 1.0):
-        row = np.zeros(hi - lo + 1)
-        row[mode - lo] = 1.0
         return lo, row
-    row = _weights_from_mode(n, x, mode, lo, hi)
-    row *= basis_eval(mode, n, x)
-    return lo, row
-
-
-def _weights_from_mode(n: int, x: float, mode: int, lo: int, hi: int) -> np.ndarray:
-    """The basis values at m = lo..hi divided by the one at mode, for 0 < x < 1.
-
-    Walks outward from 1.0 at mode (lo <= mode <= hi) with the exact
-    neighbour ratio (n-m)/(m+1) * x/(1-x); far tails underflow harmlessly
-    to 0.
-    """
     m = np.arange(lo, hi, dtype=float)
     ratios = (x / (1.0 - x)) * (n - m)
-    ratios /= m + 1.0  # w[m+1] / w[m]
-    w = np.empty(hi - lo + 1)
-    at = mode - lo
-    w[at] = 1.0
-    ratios[at:].cumprod(out=w[at + 1 :])
+    ratios /= m + 1.0  # b[m+1] / b[m]
+    ratios[at:].cumprod(out=row[at + 1 :])
     if at > 0:
-        np.reciprocal(ratios[at - 1 :: -1]).cumprod(out=w[at - 1 :: -1])
-    return w
+        np.reciprocal(ratios[at - 1 :: -1]).cumprod(out=row[at - 1 :: -1])
+    row *= basis_eval(mode, n, x)
+    return lo, row
 
 
 def basis_derivative(m: int, n: int, x: float) -> float:
@@ -338,7 +327,6 @@ def basis_derivative(m: int, n: int, x: float) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x = _check_unit(x)
     return n * (basis_eval(m - 1, n - 1, x) - basis_eval(m, n - 1, x))
 
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .core import EvaluationError, RealFunction
+from .core import EvaluationError, RealFunction, _check_unit
 
 __all__ = [
     "Const",
@@ -91,12 +91,12 @@ class ParseError(Exception):
         super().__init__(message)
 
 
+def _parse_error(offset: int, detail: str) -> ParseError:
+    return ParseError(offset, f"parse error at byte {offset}: {detail}")
+
+
 def _syntax_error(offset: int, expected: str, found: str) -> ParseError:
-    return ParseError(offset, f"parse error at byte {offset}: expected {expected}, found {found}")
-
-
-def _unknown_identifier(offset: int, name: str) -> ParseError:
-    return ParseError(offset, f"parse error at byte {offset}: unknown identifier '{name}'")
+    return _parse_error(offset, f"expected {expected}, found {found}")
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,19 @@ def _tokenize(text: str) -> list[_Token]:
 # (parentheses, unary minus, ^ and calls) and the height of the tree, which
 # a chain such as x+x+...+x grows without any recursion.  _compile, to_text
 # and tree equality walk the tree recursively, a compiled tree calls one
-# closure per level, and a nested call costs the parser six frames a level,
+# closure per level, and a nested call costs the parser four frames a level,
 # so this keeps every walk and every evaluation well inside Python's
 # default limit of 1000 frames.
 _MAX_DEPTH = 100
 
 
+# Binding strength of each binary operator, shared by the parser and the
+# printer; ^ alone is right-associative.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+
 class _Parser:
-    """Recursive descent; each parse_* method returns (tree, tree height)."""
+    """Recursive descent with precedence climbing; each parse_* method returns (tree, height)."""
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -175,44 +180,38 @@ class _Parser:
 
     def check_depth(self, token: _Token, depth: int) -> int:
         if depth > _MAX_DEPTH:
-            message = f"expression nests deeper than {_MAX_DEPTH} levels"
-            raise ParseError(token.offset, f"parse error at byte {token.offset}: {message}")
+            raise _parse_error(token.offset, f"expression nests deeper than {_MAX_DEPTH} levels")
         return depth
 
     def descend(
-        self, token: _Token, parse: Callable[[], tuple[ExprAst, int]]
+        self, token: _Token, parse: Callable[..., tuple[ExprAst, int]], *args: int
     ) -> tuple[ExprAst, int]:
         self.depth = self.check_depth(token, self.depth + 1)
-        result = parse()
+        result = parse(*args)
         self.depth -= 1
         return result
 
     def build(self, token: _Token, node: ExprAst, *heights: int) -> tuple[ExprAst, int]:
         return node, self.check_depth(token, 1 + max(heights))
 
-    def parse_expr(self) -> tuple[ExprAst, int]:
-        node, height = self.parse_term()
-        while self.at_op("+", "-"):
-            token = self.advance()
-            right, right_height = self.parse_term()
-            node, height = self.build(token, Binary(token.text, node, right), height, right_height)
-        return node, height
+    def parse_expr(self, tightest: int = 1) -> tuple[ExprAst, int]:
+        """A base, then every operator of _PRECEDENCE level tightest or above.
 
-    def parse_term(self) -> tuple[ExprAst, int]:
-        node, height = self.parse_factor()
-        while self.at_op("*", "/"):
-            token = self.advance()
-            right, right_height = self.parse_factor()
-            node, height = self.build(token, Binary(token.text, node, right), height, right_height)
-        return node, height
-
-    def parse_factor(self) -> tuple[ExprAst, int]:
+        A left-associative operator's right operand takes only tighter
+        operators; ^ takes its own level again, one nesting level deeper.
+        """
         node, height = self.parse_base()
-        if self.at_op("^"):
-            token = self.advance()
-            right, right_height = self.descend(token, self.parse_factor)  # right-associative
-            node, height = self.build(token, Binary("^", node, right), height, right_height)
-        return node, height
+        while True:
+            token = self.peek()
+            level = _PRECEDENCE.get(token.text, 0)  # 0 for any other token
+            if level < tightest:
+                return node, height
+            self.advance()
+            if token.text == "^":
+                right, right_height = self.descend(token, self.parse_expr, level)
+            else:
+                right, right_height = self.parse_expr(level + 1)
+            node, height = self.build(token, Binary(token.text, node, right), height, right_height)
 
     def parse_base(self) -> tuple[ExprAst, int]:
         token = self.peek()
@@ -238,7 +237,7 @@ class _Parser:
     def parse_call(self, name_token: _Token) -> tuple[ExprAst, int]:
         name = name_token.text
         if name not in UNARY_FUNCTIONS and name not in BINARY_FUNCTIONS:
-            raise _unknown_identifier(name_token.offset, name)
+            raise _parse_error(name_token.offset, f"unknown identifier '{name}'")
         self.advance()
         self.expect_op("(")
         args = [self.descend(name_token, self.parse_expr)]
@@ -263,8 +262,6 @@ def parse(text: str) -> ExprAst:
 
 # ---------------------------------------------------------------------------
 # Pretty printing
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 def _render(node: ExprAst) -> tuple[str, int]:
@@ -423,9 +420,7 @@ def eval_ast(node: ExprAst, x: float) -> float:
     the evaluation itself; to evaluate one tree at many points, compile it
     once with to_real_function and call the result.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    x = _check_unit(x)
     return _compile(node)(x)
 
 

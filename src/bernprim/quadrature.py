@@ -5,7 +5,8 @@ between these oracles and the Bernstein construction actually means
 something.  The oracles return plain floats; a caller that wants a
 refinement gap makes the second call itself, e.g.
 abs(simpson(f, u, n) - simpson(f, u, 2 * n)).  Node sums use math.fsum,
-so results do not depend on any reduction order.
+so results do not depend on any reduction order; terms that overflow to
+infinities of both signs raise OverflowError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _check_upper(upper: float) -> float:
     return upper
 
 
+def _fsum(rule: str, upper: float, terms: list[float]) -> float:
+    """math.fsum of a rule's terms; infinities of both signs raise OverflowError."""
+    try:
+        return math.fsum(terms)
+    except ValueError:  # -inf + inf has no sum
+        raise OverflowError(f"{rule} terms on [0, {upper!r}] overflow to -inf and +inf") from None
+
+
 def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "midpoint") -> float:
     """Riemann sum of f over [0, upper] with the given node rule.
 
@@ -44,7 +53,8 @@ def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "mi
     offset = _RULE_OFFSETS[rule]
     h = upper / panels
     # Nodes as upper * fraction keeps every node inside [0, upper] exactly.
-    return h * math.fsum(f(upper * ((i + offset) / panels)) for i in range(panels))
+    terms = [f(upper * ((i + offset) / panels)) for i in range(panels)]
+    return h * _fsum("Riemann", upper, terms)
 
 
 def simpson(f: Integrand, upper: float, panels: int) -> float:
@@ -63,7 +73,7 @@ def simpson(f: Integrand, upper: float, panels: int) -> float:
         weight = 1.0 if i in (0, panels) else (4.0 if i % 2 else 2.0)
         return weight * f(upper * (i / panels))
 
-    return (h / 3.0) * math.fsum(term(i) for i in range(panels + 1))
+    return (h / 3.0) * _fsum("Simpson", upper, [term(i) for i in range(panels + 1)])
 
 
 def central_difference(f: Integrand, x: float, h: float = 1e-5) -> float:

@@ -142,6 +142,23 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--expr", "1.7e308*sin(30*x)", "--degrees", "2,4", "--grid", "5", "--panels", "4"],
+            ["primitive", "--expr", "1.7e308*sin(30*x)", "--n", "1", "--samples", "5", "--panels", "4"],
+            ["converge", "--expr", "1e308*sin(30*x)", "--degrees", "2,4", "--grid", "5", "--panels", "4"],
+            ["primitive", "--expr", "1e308*sin(30*x)", "--n", "1", "--samples", "5", "--panels", "4"],
+        ],
+    )
+    def test_simpson_overflow_of_both_signs_is_three(self, capsys, argv):
+        # Every sample of f is finite, but the oracle's weighted terms 4 * f
+        # overflow to +inf and to -inf in one row, which have no sum.
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "numeric failure: Simpson terms on [0, 0.25] overflow to -inf and +inf\n"
+
+    @pytest.mark.parametrize(
         "argv,field",
         [
             (["primitive", "--expr", "5e307", "--n", "1", "--samples", "2", "--panels", "2"], "table[1][2]"),
@@ -525,7 +542,8 @@ _DEEP = [
 _UNDEFINED = ["log(x)", "1/(x - 0.5)"]  # not finite somewhere on [0, 1]: exit 3
 _HUGE = "1.7e308"  # finite, but primitive's and converge's prefix sums overflow: exit 3
 _LARGE = "5e307"  # finite, but the Simpson oracle's 4 * f overflows: exit 3
-_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", _HUGE, _LARGE, *_UNDEFINED]
+_WAVE = "1.7e308*sin(30*x)"  # finite, but 4 * f overflows to both signs in one row: exit 3
+_EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", _HUGE, _LARGE, _WAVE, *_UNDEFINED]
 
 
 def _flag(flag, good, bad=_BAD, omitted="good"):
@@ -606,7 +624,7 @@ class TestArgvFuzz:
             code = main(argv)
         assert code in (0, 1, 2, 3)
         if code == 3:
-            assert any(arg in (f"--expr={e}" for e in (*_UNDEFINED, _HUGE, _LARGE)) for arg in argv), err.getvalue()
+            assert any(arg in (f"--expr={e}" for e in (*_UNDEFINED, _HUGE, _LARGE, _WAVE)) for arg in argv), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):
             assert _summary(out.getvalue(), argv)["passed"] is (code == 0)

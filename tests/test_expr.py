@@ -9,6 +9,7 @@ the messages are part of the interface.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,51 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             parse("   ?")
         assert excinfo.value.offset == 4
+
+
+# (kind, deepest accepted text, the text one level deeper, byte it is rejected at)
+DEPTH_CASES = [
+    ("parentheses", "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, 101),
+    ("unary-minus", "-" * 99 + "x", "-" * 100 + "x", 1),
+    ("power", "^".join(["x"] * 100), "^".join(["x"] * 101), 2),
+    ("sin-calls", "sin(" * 99 + "x" + ")" * 99, "sin(" * 100 + "x" + ")" * 100, 1),
+    ("min-calls", "min(" * 99 + "x" + ", x)" * 99, "min(" * 100 + "x" + ", x)" * 100, 1),
+    ("flat-sum", "+".join(["x"] * 100), "+".join(["x"] * 101), 200),
+]
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDepthLimit:
+    """Both sides of the 100-level limit, with 650 frames to spare.
+
+    A nested call costs the parser four frames a level; a parser that spent
+    seven or more would fail the accepted side.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,deepest,deeper,offset", DEPTH_CASES, ids=[case[0] for case in DEPTH_CASES]
+    )
+    def test_deepest_accepted_and_one_more(self, kind, deepest, deeper, offset):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 650)
+        try:
+            tree = parse(deepest)
+            assert parse(to_text(tree)) == tree
+            assert math.isfinite(eval_ast(tree, 0.5))
+            with pytest.raises(ParseError) as excinfo:
+                parse(deeper)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(excinfo.value) == (
+            f"parse error at byte {offset}: expression nests deeper than 100 levels"
+        )
+        assert excinfo.value.offset == offset
 
 
 class TestRoundTrip:

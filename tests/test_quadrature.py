@@ -123,6 +123,19 @@ class TestSimpson:
         with pytest.raises(ValueError):
             simpson(lambda t: t, -0.1, 4)
 
+    def test_overflow_to_both_signs_is_overflow_error(self):
+        # Nodes 0.25 and 0.75 carry weight 4, so their terms are +inf and -inf.
+        step = lambda t: 1e308 if t < 0.5 else -1e308  # noqa: E731
+        with pytest.raises(OverflowError, match=r"^Simpson terms on \[0, 1\.0\] overflow"):
+            simpson(step, 1.0, 4)
+        with pytest.raises(OverflowError, match=r"^Riemann terms on \[0, 1\.0\] overflow"):
+            riemann_sum(lambda t: 2 * step(t) * 1e308, 1.0, 2)
+        # Overflow of one sign is a plain infinity, and an integrand's own
+        # ValueError is not mistaken for an overflow.
+        assert simpson(lambda t: 1e308, 1.0, 4) == math.inf
+        with pytest.raises(ValueError, match="math domain error"):
+            simpson(lambda t: math.log(t - 1.0), 0.5, 2)
+
 
 class TestCentralDifference:
     def test_matches_known_derivative(self):
