@@ -30,9 +30,12 @@ import random
 import sys
 from typing import Callable
 
+import numpy as np
+
 from .core import (
     BernsteinPoly,
     EvaluationError,
+    RealFunction,
     antiderivative_poly,
     basis_derivative,
     basis_eval,
@@ -46,7 +49,7 @@ from .core import (
     sup_norm_distance,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
 )
 from .expr import ParseError, parse, to_real_function
-from .quadrature import central_difference, simpson
+from .quadrature import central_difference, simpson, simpson_rows
 
 __all__ = ["main", "console_main", "build_parser", "REPORT_SCHEMA"]
 
@@ -92,19 +95,29 @@ IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_centr
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
 
 
-def _tabulate(count: int, *functions: Callable[[float], float]) -> tuple[list[float], ...]:
-    """The grid i/(count-1), i = 0..count-1, then one column of values per function.
+def _tabulate(count: int, f: RealFunction, panels: int | None = None) -> tuple[list[float], ...]:
+    """The grid i/(count-1), i = 0..count-1, then Simpson's column if panels is given, then f's.
 
-    Columns run in argument order, one call per point.  A Simpson oracle goes
-    before f: its row at x ends with f(x), so it meets first any x where f fails.
+    Expression-built f is evaluated in batches, bit for bit as one call per
+    point.  If any batch fails, the columns are rebuilt one call per point,
+    in column order, so the error is the one that loop meets first.  The
+    Simpson oracle goes before f: its row at x ends with f(x), so it meets
+    first any x where f fails.
     """
     xs = [i / (count - 1) for i in range(count)]
+    if f.batch is not None:
+        try:
+            oracle = [simpson_rows(f.values, xs, panels)] if panels else []
+            return (xs, *oracle, f.values(xs).tolist())
+        except (EvaluationError, ArithmeticError, ValueError):
+            pass
+    functions = ([lambda x: simpson(f, x, panels)] if panels else []) + [f]
     return (xs, *([fn(x) for x in xs] for fn in functions))
 
 
 def _sup_error(p: BernsteinPoly, xs: list[float], reference: list[float]) -> float:
     """max |p(x) - reference value| over xs, from one poly_values call."""
-    return max(abs(v - r) for v, r in zip(poly_values(p, xs).tolist(), reference))
+    return float(np.max(np.abs(poly_values(p, xs) - reference)))
 
 
 def _report(
@@ -146,7 +159,7 @@ def cmd_approx(args: argparse.Namespace) -> dict:
 def cmd_primitive(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn_primitive = primitive_approximant(f, args.n)
-    xs, oracle, fx = _tabulate(args.samples, lambda x: simpson(f, x, args.panels), f)
+    xs, oracle, fx = _tabulate(args.samples, f, args.panels)
     values = poly_values(fn_primitive, xs).tolist()
     rows = [[x, v, o, abs(v - o)] for x, v, o in zip(xs, values, oracle)]
     max_error = max(row[3] for row in rows)
@@ -211,7 +224,7 @@ def cmd_identities(args: argparse.Namespace) -> dict:
 
 def cmd_converge(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
-    xs, oracle, fx = _tabulate(args.grid, lambda x: simpson(f, x, args.panels), f)
+    xs, oracle, fx = _tabulate(args.grid, f, args.panels)
     table = []
     for n in args.degrees:
         fn = bernstein_approximant(f, n)
@@ -234,7 +247,7 @@ def cmd_converge(args: argparse.Namespace) -> dict:
 def cmd_bound(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     xs, fx = _tabulate(args.grid, f)
-    sup_estimate = max(map(abs, fx))
+    sup_estimate = float(np.max(np.abs(fx)))
     sup_used = SUP_SAFETY * sup_estimate
     delta = args.delta if args.delta is not None else lipschitz_delta(args.lipschitz, args.eps)
     try:

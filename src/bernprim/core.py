@@ -72,6 +72,7 @@ _WINDOW_BLOCK = 2**13
 # RealFunction probes its evaluator at i/256, i = 0..256, when it is built:
 # a dyadic grid, so it lands exactly on poles such as 0.25 or 0.5.
 _PROBE_POINTS = 257
+_PROBE_GRID = np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
 
 MomentKind = Literal["partition", "first", "second_central"]
 
@@ -141,13 +142,21 @@ class RealFunction:
     The evaluator is probed on a uniform grid at construction time so that
     a broken definition fails loudly up front rather than deep inside a
     degree-1000 sweep.
+
+    An optional batch evaluator takes a 1-D array of points and returns
+    the evaluator's values at all of them, bit for bit, or None when the
+    evaluator would fail at any of them.  values() and the probe use it,
+    and rerun a batch it gives up on point by point, so every error is
+    the one the first failing call of the evaluator raises.
     """
 
     evaluator: Callable[[float], float]
+    batch: Callable[[np.ndarray], np.ndarray | None] | None = None
 
     def __post_init__(self) -> None:
-        for i in range(_PROBE_POINTS):
-            x = i / (_PROBE_POINTS - 1)
+        if self._batch_values(_PROBE_GRID) is not None:
+            return
+        for x in _PROBE_GRID.tolist():
             try:
                 value = float(self.evaluator(x))
             except (EvaluationError, ArithmeticError, ValueError) as exc:
@@ -163,6 +172,33 @@ class RealFunction:
         if not math.isfinite(value):
             raise EvaluationError(f"evaluator returned non-finite value {value!r} at x={x!r}")
         return value
+
+    def _batch_values(self, xs: np.ndarray) -> np.ndarray | None:
+        """The batch evaluator's values at xs if it has one and they are all finite, else None."""
+        if self.batch is None:
+            return None
+        values = self.batch(xs)
+        if values is None or not np.isfinite(values).all():
+            return None
+        return values
+
+    def values(self, xs: Sequence[float]) -> np.ndarray:
+        """The function at each of xs, which are checked against [0, 1] once.
+
+        One batch when there is a batch evaluator and it succeeds;
+        otherwise one call per point, in order, so values equal
+        [f(x) for x in xs] and fail as that loop first fails.
+        """
+        grid = np.asarray(xs, dtype=float)
+        if grid.ndim != 1:
+            raise ValueError("xs must be one-dimensional")
+        outside = ~((grid >= 0.0) & (grid <= 1.0))
+        if outside.any():
+            _check_unit(grid[outside.argmax()])  # raises the per-point message
+        values = self._batch_values(grid)
+        if values is not None:
+            return values
+        return np.array([self(x) for x in grid.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -359,9 +395,15 @@ def moment_sum(n: int, x: float, kind: MomentKind) -> float:
 
 
 def bernstein_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
-    """Degree-n Bernstein approximant of f: coefficient m is f(m/n)."""
+    """Degree-n Bernstein approximant of f: coefficient m is f(m/n).
+
+    A RealFunction is sampled by one values() call, a plain callable one
+    point at a time.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(f, RealFunction):
+        return BernsteinPoly(n, tuple(f.values(np.arange(n + 1) / n).tolist()))
     return BernsteinPoly(n, tuple(float(f(m / n)) for m in range(n + 1)))
 
 
@@ -597,6 +639,8 @@ def lipschitz_delta(lipschitz: float, eps: float) -> float:
 def _values_on(obj: Evaluatable, grid: np.ndarray) -> np.ndarray:
     if isinstance(obj, BernsteinPoly):
         return poly_values(obj, grid)
+    if isinstance(obj, RealFunction):
+        return obj.values(grid)
     return np.array([float(obj(x)) for x in grid])
 
 

@@ -19,7 +19,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import repeat
+from typing import Callable, Iterable, Union
+
+import numpy as np
 
 from .core import EvaluationError, RealFunction, _check_unit
 
@@ -138,9 +141,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 # Deepest nesting parse() accepts, counting both the parser's own recursion
 # (parentheses, unary minus, ^ and calls) and the height of the tree, which
-# a chain such as x+x+...+x grows without any recursion.  _compile, to_text
-# and tree equality walk the tree recursively, a compiled tree calls one
-# closure per level, and a nested call costs the parser four frames a level,
+# a chain such as x+x+...+x grows without any recursion.  _compile,
+# _compile_batch, to_text and tree equality walk the tree recursively, a
+# compiled tree calls one closure per level (an array-compiled one two),
+# and a nested call costs the parser four frames a level,
 # so this keeps every walk and every evaluation well inside Python's
 # default limit of 1000 frames.
 _MAX_DEPTH = 100
@@ -413,6 +417,157 @@ def _compile(node: ExprAst) -> Callable[[float], float]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+class _BatchFailed(Exception):
+    """A node failed at some point of a batch, which is then rerun point by point."""
+
+
+_ArrayClosure = Callable[[np.ndarray], np.ndarray]
+_Operand = Union[np.ndarray, float]  # an operand without x is its value
+
+
+def _fails(xs: np.ndarray) -> np.ndarray:
+    raise _BatchFailed
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise _BatchFailed
+    return values
+
+
+def _each(operand: _Operand) -> Iterable[float]:
+    """An array's values as Python floats, or a value without x repeated."""
+    return memoryview(operand) if isinstance(operand, np.ndarray) else repeat(operand)
+
+
+def _divide(a: _Operand, b: _Operand) -> np.ndarray:
+    if (not b.all()) if isinstance(b, np.ndarray) else b == 0.0:
+        raise _BatchFailed
+    return np.divide(a, b)
+
+
+def _power(a: _Operand, b: _Operand) -> np.ndarray:
+    size = a.size if isinstance(a, np.ndarray) else b.size
+    return np.fromiter(map(math.pow, _each(a), _each(b)), float, size)
+
+
+def _mapped(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda a: np.fromiter(map(fn, memoryview(a)), float, a.size)
+
+
+# Each operator and function on arrays.  min and max keep Python's rule,
+# the first argument unless the second is strictly smaller (larger), so
+# they agree on ties and on -0.0 against 0.0.
+_ARRAY_OPS: dict[str, Callable[..., np.ndarray]] = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": _divide,
+    "^": _power,
+    "abs": np.abs,
+    "min": lambda a, b: np.where(b < a, b, a),
+    "max": lambda a, b: np.where(b > a, b, a),
+    **{name: _mapped(fn) for name, fn in UNARY_FUNCTIONS.items() if name != "abs"},
+}
+
+# The nodes that can turn a non-finite operand into a finite value:
+# a / inf, exp(-inf), inf^0, 0.5^inf, min(inf, x).  Every other node keeps
+# a non-finite operand non-finite (inf or nan), or math raises on it.
+_MASKING = {"/", "^", "exp", "min", "max"}
+
+
+def _children(node: ExprAst) -> tuple[ExprAst, ...]:
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def _with_children(node: ExprAst, children: tuple[ExprAst, ...]) -> ExprAst:
+    if isinstance(node, Unary):
+        return Unary(node.op, *children)
+    if isinstance(node, Binary):
+        return Binary(node.op, *children)
+    return Call(node.name, children)
+
+
+def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
+    """The tree as nested array closures: one call evaluates it at every x of an array.
+
+    Each value is bit for bit the one _compile's closures give: numpy does
+    + - * / and abs, which IEEE-754 rounds exactly as Python floats do,
+    and the functions and ^ map the math module over the values, the same
+    libm.  A subtree without x compiles to its value instead, a float,
+    which _compile's closures compute once, and numpy broadcasts it
+    against its siblings; if it fails there, it compiles to a closure that
+    fails every batch.
+
+    The batch raises _BatchFailed, or the libm error, exactly when the
+    scalar closures raise at some x of it: a zero divisor is checked at
+    each division, and a non-finite value at the root and at each operand
+    of a _MASKING node, which is as far as it can travel unchanged.  x
+    itself, in [0, 1], needs no check.
+    """
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return lambda xs: xs
+    children = _children(node)
+    parts = [_compile_batch(child) for child in children]
+    if not any(map(callable, parts)):
+        try:
+            return _compile(_with_children(node, tuple(map(Const, parts))))(0.0)
+        except EvaluationError:
+            return _fails
+    if isinstance(node, Unary):
+        (operand,) = parts
+        return lambda xs: -operand(xs)
+    name = node.op if isinstance(node, Binary) else node.name
+    operands = []
+    for child, part in zip(children, parts):
+        if not callable(part):
+            operands.append(lambda xs, value=part: value)
+        elif name in _MASKING and not isinstance(child, Var):
+            operands.append(lambda xs, part=part: _finite(part(xs)))
+        else:
+            operands.append(part)
+    apply = _ARRAY_OPS[name]
+    if len(operands) == 1:
+        (a,) = operands
+        return lambda xs: apply(a(xs))
+    a, b = operands
+    return lambda xs: apply(a(xs), b(xs))
+
+
+def _batch_evaluator(node: ExprAst) -> Callable[[np.ndarray], np.ndarray | None]:
+    """The tree's values at a 1-D array of points, or None if any node fails at any of them.
+
+    numpy's floating-point warnings are silenced: a failure is found by the
+    checks, and the caller reruns the points one by one to report it.
+    """
+    compiled = _compile_batch(node)
+    if isinstance(node, Var):
+        compiled = np.copy  # a fresh array, not the caller's
+    elif callable(compiled):
+        tree = compiled
+        compiled = lambda xs: _finite(tree(xs))  # noqa: E731
+    else:
+        value = compiled
+        compiled = lambda xs: np.full(xs.shape, value)  # noqa: E731
+
+    def batch(xs: np.ndarray) -> np.ndarray | None:
+        with np.errstate(all="ignore"):
+            try:
+                return compiled(xs)
+            except (_BatchFailed, ValueError, OverflowError):
+                return None
+
+    return batch
+
+
 def eval_ast(node: ExprAst, x: float) -> float:
     """Evaluate the tree at x in [0, 1]; failures name the offending node.
 
@@ -427,6 +582,8 @@ def eval_ast(node: ExprAst, x: float) -> float:
 def to_real_function(node: ExprAst) -> RealFunction:
     """Wrap a parsed tree as a RealFunction, probing it on a uniform grid.
 
-    The tree is compiled once; RealFunction checks the domain of each call.
+    The tree is compiled once into scalar closures and once into array
+    closures, whose values are bit for bit the same; RealFunction checks
+    the domain of each call and each batch.
     """
-    return RealFunction(evaluator=_compile(node))
+    return RealFunction(evaluator=_compile(node), batch=_batch_evaluator(node))

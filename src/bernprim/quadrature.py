@@ -6,17 +6,33 @@ something.  The oracles return plain floats; a caller that wants a
 refinement gap makes the second call itself, e.g.
 abs(simpson(f, u, n) - simpson(f, u, 2 * n)).  Node sums use math.fsum,
 so results do not depend on any reduction order; terms that overflow to
-infinities of both signs raise OverflowError.
+infinities of both signs, or whose sum leaves float range, raise
+OverflowError naming the rule and the interval.
+
+simpson_rows computes many Simpson rows at once from an integrand that
+takes an array of nodes: the same nodes, weights and math.fsum per row,
+so each row equals simpson's bit for bit.  It hands the integrand rows
+in blocks of at most _BLOCK_NODES nodes, so memory stays bounded at any
+number of rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal, Sequence
 
-__all__ = ["riemann_sum", "simpson", "central_difference"]
+import numpy as np
+
+__all__ = ["riemann_sum", "simpson", "simpson_rows", "central_difference"]
 
 Integrand = Callable[[float], float]
+
+# Takes a 1-D float array of nodes and returns the integrand at each.
+ArrayIntegrand = Callable[[np.ndarray], np.ndarray]
+
+# simpson_rows hands the integrand at most this many nodes at a time, or
+# one row when a row alone is larger.
+_BLOCK_NODES = 2**16
 
 RiemannRule = Literal["left", "right", "midpoint"]
 
@@ -30,12 +46,14 @@ def _check_upper(upper: float) -> float:
     return upper
 
 
-def _fsum(rule: str, upper: float, terms: list[float]) -> float:
-    """math.fsum of a rule's terms; infinities of both signs raise OverflowError."""
+def _fsum(rule: str, upper: float, terms: Iterable[float]) -> float:
+    """math.fsum of a rule's terms; a sum without a float value raises OverflowError."""
     try:
         return math.fsum(terms)
     except ValueError:  # -inf + inf has no sum
         raise OverflowError(f"{rule} terms on [0, {upper!r}] overflow to -inf and +inf") from None
+    except OverflowError:  # finite terms whose sum is beyond float range
+        raise OverflowError(f"{rule} terms on [0, {upper!r}] sum beyond float range") from None
 
 
 def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "midpoint") -> float:
@@ -57,14 +75,18 @@ def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "mi
     return h * _fsum("Riemann", upper, terms)
 
 
+def _check_panels(panels: int) -> None:
+    if panels < 2 or panels % 2:
+        raise ValueError(f"panels must be an even number >= 2, got {panels}")
+
+
 def simpson(f: Integrand, upper: float, panels: int) -> float:
     """Composite Simpson rule over [0, upper]; panels must be even.
 
     f is called exactly panels + 1 times (not at all when upper is 0).
     """
     upper = _check_upper(upper)
-    if panels < 2 or panels % 2:
-        raise ValueError(f"panels must be an even number >= 2, got {panels}")
+    _check_panels(panels)
     if upper == 0.0:
         return 0.0
     h = upper / panels
@@ -74,6 +96,38 @@ def simpson(f: Integrand, upper: float, panels: int) -> float:
         return weight * f(upper * (i / panels))
 
     return (h / 3.0) * _fsum("Simpson", upper, [term(i) for i in range(panels + 1)])
+
+
+def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> list[float]:
+    """[simpson(g, u, panels) for u in uppers], bit for bit, where f(xs) is g at each of xs.
+
+    A row's nodes are upper * (i / panels) and its terms weight * value,
+    each correctly rounded as in simpson, summed by one math.fsum and
+    scaled by (h / 3.0).  A row at 0 is 0.0 and hands f no node.  Rows
+    go to f in order, in blocks of at most _BLOCK_NODES nodes (one row if
+    a row is larger).  A block's rows are summed after f has seen the
+    whole block, so when both f and a sum fail, the error raised may
+    differ from the one the loop over simpson raises first.
+    """
+    uppers = [_check_upper(upper) for upper in uppers]
+    _check_panels(panels)
+    fractions = np.arange(panels + 1) / panels
+    weights = np.full(panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    results = [0.0] * len(uppers)
+    rows = [j for j, upper in enumerate(uppers) if upper != 0.0]
+    per_block = max(1, _BLOCK_NODES // (panels + 1))
+    for start in range(0, len(rows), per_block):
+        block = rows[start : start + per_block]
+        nodes = np.multiply.outer([uppers[j] for j in block], fractions)
+        values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        with np.errstate(over="ignore"):  # 4 * f may overflow, as in simpson
+            terms = values * weights
+        for j, row in zip(block, terms):
+            upper = uppers[j]
+            results[j] = (upper / panels / 3.0) * _fsum("Simpson", upper, memoryview(row))
+    return results
 
 
 def central_difference(f: Integrand, x: float, h: float = 1e-5) -> float:

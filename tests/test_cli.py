@@ -243,18 +243,18 @@ class TestHighDegree:
         assert [row[index] for row in report["table"]] == [bernprim.eval_poly(poly, x) for x in xs]
 
 
+WORK_CASES = [
+    # 257 probe + 101 grid + 34 samples at degree 33.
+    (["bound", "--expr", "x", "--eps", "0.5", "--delta", "0.5", "--grid", "101"], 392),
+    # 257 probe + 20 Simpson rows of 3 nodes + 21 grid + 5 + 9 samples.
+    (["converge", "--expr", "x", "--degrees", "4,8", "--grid", "21", "--panels", "2"], 352),
+]
+
+
 class TestWork:
     """Each report calls f once per point of its grid, besides sampling and the oracle."""
 
-    @pytest.mark.parametrize(
-        "argv,calls",
-        [
-            # 257 probe + 101 grid + 34 samples at degree 33.
-            (["bound", "--expr", "x", "--eps", "0.5", "--delta", "0.5", "--grid", "101"], 392),
-            # 257 probe + 20 Simpson rows of 3 nodes + 21 grid + 5 + 9 samples.
-            (["converge", "--expr", "x", "--degrees", "4,8", "--grid", "21", "--panels", "2"], 352),
-        ],
-    )
+    @pytest.mark.parametrize("argv,calls", WORK_CASES)
     def test_calls_of_f(self, capsys, monkeypatch, argv, calls):
         points = []
         real_function = cli.to_real_function
@@ -266,6 +266,86 @@ class TestWork:
         monkeypatch.setattr(cli, "to_real_function", counted)
         run_json(capsys, argv)
         assert len(points) == calls
+
+    @staticmethod
+    def batch_sizes(capsys, monkeypatch, argv):
+        """The size of each batch the report hands f's batch evaluator."""
+        sizes = []
+        real_function = cli.to_real_function
+
+        def counted(tree):
+            f = real_function(tree)
+            return bernprim.RealFunction(f.evaluator, lambda xs: sizes.append(xs.size) or f.batch(xs))
+
+        monkeypatch.setattr(cli, "to_real_function", counted)
+        run_json(capsys, argv)
+        return sizes
+
+    @pytest.mark.parametrize("argv,calls", WORK_CASES)
+    def test_points_of_f_in_batches(self, capsys, monkeypatch, argv, calls):
+        assert sum(self.batch_sizes(capsys, monkeypatch, argv)) == calls
+
+    @pytest.mark.parametrize(
+        "samples,panels,bound",
+        [
+            # A row of 100001 nodes is a block of its own.
+            ("11", "100000", 100001),
+            # Rows of 1001 nodes, 65 to a block of at most 2^16 nodes.
+            ("201", "1000", 2**16),
+        ],
+    )
+    def test_simpson_batches_stay_under_the_block_bound(self, capsys, monkeypatch, samples, panels, bound):
+        argv = ["primitive", "--expr", "x", "--n", "4", "--samples", samples, "--panels", panels]
+        sizes = self.batch_sizes(capsys, monkeypatch, argv)
+        rows = int(samples) - 1  # the row at 0 hands f no node
+        assert sum(sizes) == 257 + 5 + rows * (int(panels) + 1) + int(samples)
+        assert max(sizes) <= bound
+
+
+# Each fails in the construction probe.
+PROBE_FAILURES = ["log(x)", "1/(x - 0.5)", "sqrt(x - 1)", "exp(800*x)", "1e400"]
+
+
+class TestBatchFailures:
+    """A failing batch is rerun point by point, so stderr is the scalar path's."""
+
+    @staticmethod
+    def scalar_only(tree):
+        return bernprim.RealFunction(bernprim.expr._compile(tree))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["approx", "--expr", text, "--n", "4"] for text in PROBE_FAILURES]
+        + [
+            # 0.3 is no probe point: sampling, the oracle or the grid meets it.
+            ["approx", "--expr", "1/(x-0.3)", "--n", "10"],
+            ["approx", "--expr", "1/(x-0.3)", "--n", "7", "--samples", "11"],
+            ["primitive", "--expr", "1/(x-0.3)", "--n", "7", "--samples", "11", "--panels", "4"],
+            ["converge", "--expr", "log(abs(x-0.3))", "--degrees", "3,7", "--grid", "11", "--panels", "2"],
+            ["converge", "--expr", "1/(x-0.6)", "--degrees", "3", "--grid", "11", "--panels", "64"],
+            ["bound", "--expr", "1/(x-0.3)", "--eps", "0.5", "--delta", "0.5", "--grid", "11"],
+            # The oracle overflows in its row at 0.2 before f fails at 0.3.
+            ["converge", "--expr", "1e308*sin(30*x) + 1/(x-0.3)", "--degrees", "2", "--grid", "11", "--panels", "4"],
+        ],
+    )
+    def test_stderr_is_the_scalar_paths(self, capsys, monkeypatch, argv):
+        batched = run_cli(capsys, argv)
+        monkeypatch.setattr(cli, "to_real_function", self.scalar_only)
+        scalar = run_cli(capsys, argv)
+        assert batched == scalar
+        assert batched[0] == 3 and batched[2].startswith("numeric failure: ")
+
+    def test_frozen_probe_and_oracle_messages(self, capsys):
+        code, _, err = run_cli(capsys, ["approx", "--expr", "exp(800*x)", "--n", "4"])
+        assert code == 3
+        assert err == (
+            "numeric failure: construction probe failed at x=0.890625: "
+            "evaluation of 'exp(800.0 * x)' failed at x=0.890625: math range error\n"
+        )
+        argv = ["primitive", "--expr", "1/(x-0.3)", "--n", "7", "--samples", "11", "--panels", "4"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3
+        assert err == "numeric failure: evaluation of '1.0 / (x - 0.3)' failed at x=0.3: division by zero\n"
 
 
 class TestReportSchema:

@@ -11,19 +11,22 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bernprim import (
     EvaluationError,
     ParseError,
+    RealFunction,
     eval_ast,
     parse,
     to_real_function,
     to_text,
 )
-from bernprim.expr import Binary, Call, Const, Unary, Var
+from bernprim.core import _PROBE_GRID
+from bernprim.expr import Binary, Call, Const, Unary, Var, _batch_evaluator, _compile
 from corpus import CORPUS
 
 EVAL_CASES = [
@@ -316,6 +319,7 @@ class TestDepthLimit:
             tree = parse(deepest)
             assert parse(to_text(tree)) == tree
             assert math.isfinite(eval_ast(tree, 0.5))
+            assert to_real_function(tree).values([0.5])[0] == eval_ast(tree, 0.5)
             with pytest.raises(ParseError) as excinfo:
                 parse(deeper)
         finally:
@@ -347,10 +351,11 @@ class TestRoundTrip:
             assert eval_ast(reparsed, x) == expected
 
 
-def _ast_trees():
-    constants = st.floats(
-        min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
-    ).map(Const)
+_PRINTABLE_CONSTANTS = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+def _ast_trees(values=_PRINTABLE_CONSTANTS, max_leaves=25):
+    constants = values.map(Const)
     leaves = st.one_of(constants, st.just(Var()))
 
     def extend(children):
@@ -367,7 +372,7 @@ def _ast_trees():
             ),
         )
 
-    return st.recursive(leaves, extend, max_leaves=25)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 class TestProperties:
@@ -413,3 +418,119 @@ class TestToRealFunction:
         # the 257-point grid i/256 does.
         with pytest.raises(EvaluationError):
             to_real_function(parse("1/(x - 0.25)"))
+
+
+# Constants for the batch tests: signed zeros for min and max, values that
+# overflow, subnormals, and 1e400's infinity, besides ordinary reals.
+_BATCH_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 1e308, 5e-324, math.inf]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+# Points in [0, 1]: the ends, dyadics such as the probe's i/256, and any others.
+_POINTS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, 1024).map(lambda i: i / 1024),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _scalar_hexes(tree, xs):
+    """float.hex of the scalar closures' value at each x, or None if any call raises."""
+    scalar = _compile(tree)
+    try:
+        return [float(scalar(x)).hex() for x in xs]
+    except EvaluationError:
+        return None
+
+
+class TestBatchEvaluation:
+    """The array closures against the scalar ones, bit for bit."""
+
+    @given(tree=_ast_trees(_BATCH_CONSTANTS, max_leaves=12), xs=_POINTS)
+    @settings(max_examples=500, deadline=None)
+    def test_batch_equals_scalar_closures(self, tree, xs):
+        expected = _scalar_hexes(tree, xs)
+        values = _batch_evaluator(tree)(np.array(xs))
+        if expected is None:
+            assert values is None
+        else:
+            assert [v.hex() for v in values.tolist()] == expected
+
+    @given(tree=_ast_trees(_BATCH_CONSTANTS, max_leaves=12), xs=_POINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_values_equal_calls_and_fail_as_they_do(self, tree, xs):
+        try:
+            f = to_real_function(tree)
+        except EvaluationError:
+            assume(False)
+        try:
+            expected = [f(x).hex() for x in xs]
+        except EvaluationError as exc:
+            with pytest.raises(EvaluationError) as excinfo:
+                f.values(xs)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert [v.hex() for v in f.values(xs).tolist()] == expected
+
+    @pytest.mark.parametrize(
+        "text,x,expected",
+        [
+            ("min(x, -x)", 0.0, "0x0.0p+0"),
+            ("min(-x, x)", 0.0, "-0x0.0p+0"),
+            ("max(x, -x)", 0.0, "0x0.0p+0"),
+            ("max(-x, x)", 0.0, "-0x0.0p+0"),
+            ("min(x, 0.5)", 0.5, "0x1.0000000000000p-1"),
+            ("-x", 0.0, "-0x0.0p+0"),
+            ("x^2", 0.1, (0.1**2).hex()),
+        ],
+    )
+    def test_signed_zeros_and_ties(self, text, x, expected):
+        tree = parse(text)
+        assert _batch_evaluator(tree)(np.array([x]))[0].hex() == expected
+        assert float(eval_ast(tree, x)).hex() == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # An infinity that the next node would turn finite again.
+            "min(1e400*x, 1)",
+            "max(x - 1e400, 0)",
+            "exp(x - 1e400)",
+            "1/(x + 1e400)",
+            "(x + 1e400)^0",
+            "0.5^(x + 1e400)",
+            # One that reaches the root through nodes without checks.
+            "-(1e308*x*10)",
+            "-abs(1e308*x*10)",
+        ],
+    )
+    def test_non_finite_values_fail_the_batch(self, text):
+        tree = parse(text)
+        assert _scalar_hexes(tree, [0.0, 0.5, 1.0]) is None
+        assert _batch_evaluator(tree)(np.array([0.0, 0.5, 1.0])) is None
+
+    @pytest.mark.parametrize("text", ["log(x)", "1/(x - 0.5)", "sqrt(x - 1)", "exp(800*x)", "1e400"])
+    def test_failing_probe_batch_gives_the_scalar_message(self, text):
+        tree = parse(text)
+        values = _batch_evaluator(tree)(_PROBE_GRID)
+        assert values is None or not np.isfinite(values).all()  # the batch gives up
+        with pytest.raises(EvaluationError) as scalar:
+            RealFunction(_compile(tree))
+        with pytest.raises(EvaluationError) as batched:
+            to_real_function(tree)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_values_check_the_domain_once(self):
+        f = to_real_function(parse("x^2"))
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got 1\.5"):
+            f.values([0.5, 1.5, -0.5])
+        with pytest.raises(ValueError, match=r"got nan"):
+            f.values([math.nan])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            f.values([[0.5]])
+        assert f.values([]).size == 0

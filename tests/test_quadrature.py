@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+import bernprim.quadrature as quadrature
 from bernprim import RealFunction, central_difference, riemann_sum, simpson
+from bernprim.quadrature import simpson_rows
 from corpus import BY_NAME
 
 
@@ -135,6 +138,80 @@ class TestSimpson:
         assert simpson(lambda t: 1e308, 1.0, 4) == math.inf
         with pytest.raises(ValueError, match="math domain error"):
             simpson(lambda t: math.log(t - 1.0), 0.5, 2)
+
+    def test_sum_beyond_float_range_names_the_interval(self):
+        # Every term is finite, but their sum is not: math.fsum's own
+        # "intermediate overflow in fsum" named neither rule nor interval.
+        with pytest.raises(OverflowError) as excinfo:
+            simpson(lambda t: 0.4e308, 0.5, 64)
+        assert str(excinfo.value) == "Simpson terms on [0, 0.5] sum beyond float range"
+
+
+def sin_exp(xs: np.ndarray) -> np.ndarray:
+    return np.sin(3.0 * xs) * np.exp(xs)
+
+
+def one_point(f):
+    """The array integrand f as a scalar one, so both rules see the same values."""
+    return lambda t: float(f(np.array([t]))[0])
+
+
+class TestSimpsonRows:
+    """simpson_rows against the loop over simpson it replaces, by float.hex."""
+
+    @staticmethod
+    def expected(f, uppers, panels):
+        return [simpson(one_point(f), u, panels).hex() for u in uppers]
+
+    def test_rows_across_a_block_boundary_and_at_zero(self):
+        # 256 panels put 255 rows in a block of 2^16 nodes; 601 rows take three.
+        uppers = [i / 600 for i in range(601)]
+        got = simpson_rows(sin_exp, uppers, 256)
+        assert [v.hex() for v in got] == self.expected(sin_exp, uppers, 256)
+        assert got[0] == 0.0
+
+    def test_rows_larger_than_a_block_go_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 16)
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return sin_exp(xs)
+
+        uppers = [0.0, 0.3, 1.0, 0.0, 0.7]
+        got = simpson_rows(f, uppers, 20)
+        assert [v.hex() for v in got] == self.expected(sin_exp, uppers, 20)
+        assert sizes == [21, 21, 21]
+
+    def test_blocks_stay_under_the_bound(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 50)
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            return xs * xs
+
+        uppers = [(i + 1) / 12 for i in range(12)]
+        got = simpson_rows(f, uppers, 4)
+        assert [v.hex() for v in got] == self.expected(lambda xs: xs * xs, uppers, 4)
+        assert sizes == [50, 10]  # 10 rows of 5 nodes fill a block of 50
+
+    def test_overflow_messages_match_simpson(self):
+        big = lambda xs: np.full(xs.shape, 0.4e308)  # noqa: E731
+        with pytest.raises(OverflowError) as excinfo:
+            simpson_rows(big, [0.25, 0.5], 64)
+        assert str(excinfo.value) == "Simpson terms on [0, 0.25] sum beyond float range"
+        step = lambda xs: np.where(xs < 0.5, 1e308, -1e308)  # noqa: E731
+        with pytest.raises(OverflowError, match=r"^Simpson terms on \[0, 1\.0\] overflow"):
+            simpson_rows(step, [1.0], 4)
+        assert simpson_rows(lambda xs: np.full(xs.shape, 1e308), [1.0], 4) == [math.inf]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            simpson_rows(sin_exp, [0.5], 3)
+        with pytest.raises(ValueError):
+            simpson_rows(sin_exp, [0.5, 1.2], 4)
+        assert simpson_rows(sin_exp, [], 4) == []
 
 
 class TestCentralDifference:
