@@ -486,14 +486,6 @@ def _children(node: ExprAst) -> tuple[ExprAst, ...]:
     return ()
 
 
-def _with_children(node: ExprAst, children: tuple[ExprAst, ...]) -> ExprAst:
-    if isinstance(node, Unary):
-        return Unary(node.op, *children)
-    if isinstance(node, Binary):
-        return Binary(node.op, *children)
-    return Call(node.name, children)
-
-
 def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
     """The tree as nested array closures: one call evaluates it at every x of an array.
 
@@ -519,7 +511,7 @@ def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
     parts = [_compile_batch(child) for child in children]
     if not any(map(callable, parts)):
         try:
-            return _compile(_with_children(node, tuple(map(Const, parts))))(0.0)
+            return _compile(node)(0.0)
         except EvaluationError:
             return _fails
     if isinstance(node, Unary):
