@@ -49,7 +49,11 @@ from .core import (
     sup_norm_distance,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
 )
 from .expr import ParseError, parse, to_real_function
-from .quadrature import central_difference, simpson, simpson_rows
+from .quadrature import (
+    central_difference,
+    simpson,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
+    simpson_rows,
+)
 
 __all__ = ["main", "console_main", "build_parser", "REPORT_SCHEMA"]
 
@@ -98,21 +102,13 @@ IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
 def _tabulate(count: int, f: RealFunction, panels: int | None = None) -> tuple[list[float], ...]:
     """The grid i/(count-1), i = 0..count-1, then Simpson's column if panels is given, then f's.
 
-    Expression-built f is evaluated in batches, bit for bit as one call per
-    point.  If any batch fails, the columns are rebuilt one call per point,
-    in column order, so the error is the one that loop meets first.  The
-    Simpson oracle goes before f: its row at x ends with f(x), so it meets
-    first any x where f fails.
+    Both columns come from f.values, which fails as one call per point in
+    order fails.  The Simpson oracle goes before f: its row at x ends with
+    f(x), so it meets first any x where f fails.
     """
     xs = [i / (count - 1) for i in range(count)]
-    if f.batch is not None:
-        try:
-            oracle = [simpson_rows(f.values, xs, panels)] if panels else []
-            return (xs, *oracle, f.values(xs).tolist())
-        except (EvaluationError, ArithmeticError, ValueError):
-            pass
-    functions = ([lambda x: simpson(f, x, panels)] if panels else []) + [f]
-    return (xs, *([fn(x) for x in xs] for fn in functions))
+    oracle = [simpson_rows(f.values, xs, panels)] if panels else []
+    return (xs, *oracle, f.values(xs).tolist())
 
 
 def _sup_error(p: BernsteinPoly, xs: list[float], reference: list[float]) -> float:

@@ -12,7 +12,7 @@ no function here mutates its arguments or keeps hidden state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Literal, Sequence, Union
 
@@ -145,16 +145,20 @@ class RealFunction:
 
     An optional batch evaluator takes a 1-D array of points and returns
     the evaluator's values at all of them, bit for bit, or None when the
-    evaluator would fail at any of them.  values() and the probe use it,
-    and rerun a batch it gives up on point by point, so every error is
-    the one the first failing call of the evaluator raises.
+    evaluator would raise or give a non-finite value at any of them.
+    values() and the probe use it, and rerun point by point a batch that
+    gives up, so every error is the one the first failing call raises.
+    The batch is trusted, never compared with the evaluator; it is
+    keyword-only, and expr.to_real_function is what supplies it.
     """
 
     evaluator: Callable[[float], float]
-    batch: Callable[[np.ndarray], np.ndarray | None] | None = None
+    batch: Callable[[np.ndarray], np.ndarray | None] | None = field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
 
     def __post_init__(self) -> None:
-        if self._batch_values(_PROBE_GRID) is not None:
+        if self.batch is not None and self.batch(_PROBE_GRID) is not None:
             return
         for x in _PROBE_GRID.tolist():
             try:
@@ -173,15 +177,6 @@ class RealFunction:
             raise EvaluationError(f"evaluator returned non-finite value {value!r} at x={x!r}")
         return value
 
-    def _batch_values(self, xs: np.ndarray) -> np.ndarray | None:
-        """The batch evaluator's values at xs if it has one and they are all finite, else None."""
-        if self.batch is None:
-            return None
-        values = self.batch(xs)
-        if values is None or not np.isfinite(values).all():
-            return None
-        return values
-
     def values(self, xs: Sequence[float]) -> np.ndarray:
         """The function at each of xs, which are checked against [0, 1] once.
 
@@ -195,7 +190,7 @@ class RealFunction:
         outside = ~((grid >= 0.0) & (grid <= 1.0))
         if outside.any():
             _check_unit(grid[outside.argmax()])  # raises the per-point message
-        values = self._batch_values(grid)
+        values = None if self.batch is None else self.batch(grid)
         if values is not None:
             return values
         return np.array([self(x) for x in grid.tolist()], dtype=float)

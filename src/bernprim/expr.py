@@ -537,18 +537,17 @@ def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
 def _batch_evaluator(node: ExprAst) -> Callable[[np.ndarray], np.ndarray | None]:
     """The tree's values at a 1-D array of points, or None if any node fails at any of them.
 
-    numpy's floating-point warnings are silenced: a failure is found by the
-    checks, and the caller reruns the points one by one to report it.
+    A non-finite value at the root counts as a failure, a constant root
+    too, so every value returned is finite.  numpy's floating-point
+    warnings are silenced: a failure is found by the checks, and the
+    caller reruns the points one by one to report it.
     """
     compiled = _compile_batch(node)
     if isinstance(node, Var):
         compiled = np.copy  # a fresh array, not the caller's
-    elif callable(compiled):
-        tree = compiled
-        compiled = lambda xs: _finite(tree(xs))  # noqa: E731
     else:
-        value = compiled
-        compiled = lambda xs: np.full(xs.shape, value)  # noqa: E731
+        tree = compiled if callable(compiled) else lambda xs, value=compiled: np.full(xs.shape, value)
+        compiled = lambda xs: _finite(tree(xs))  # noqa: E731
 
     def batch(xs: np.ndarray) -> np.ndarray | None:
         with np.errstate(all="ignore"):

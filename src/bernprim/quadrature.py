@@ -11,9 +11,9 @@ OverflowError naming the rule and the interval.
 
 simpson_rows computes many Simpson rows at once from an integrand that
 takes an array of nodes: the same nodes, weights and math.fsum per row,
-so each row equals simpson's bit for bit.  It hands the integrand rows
-in blocks of at most _BLOCK_NODES nodes, so memory stays bounded at any
-number of rows.
+so each row equals simpson's bit for bit, and it fails as the loop over
+simpson first fails.  It hands the integrand rows in blocks of at most
+_BLOCK_NODES nodes, so memory stays bounded at any number of rows.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> lis
     each correctly rounded as in simpson, summed by one math.fsum and
     scaled by (h / 3.0).  A row at 0 is 0.0 and hands f no node.  Rows
     go to f in order, in blocks of at most _BLOCK_NODES nodes (one row if
-    a row is larger).  A block's rows are summed after f has seen the
-    whole block, so when both f and a sum fail, the error raised may
-    differ from the one the loop over simpson raises first.
+    a row is larger).  A block that fails, in f or in a sum, is redone
+    one row at a time, f then the sum, so the error raised is the one the
+    loop over simpson meets first.
     """
     uppers = [_check_upper(upper) for upper in uppers]
     _check_panels(panels)
@@ -118,8 +118,8 @@ def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> lis
     results = [0.0] * len(uppers)
     rows = [j for j, upper in enumerate(uppers) if upper != 0.0]
     per_block = max(1, _BLOCK_NODES // (panels + 1))
-    for start in range(0, len(rows), per_block):
-        block = rows[start : start + per_block]
+
+    def fill(block: list[int]) -> None:
         nodes = np.multiply.outer([uppers[j] for j in block], fractions)
         values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
         with np.errstate(over="ignore"):  # 4 * f may overflow, as in simpson
@@ -127,6 +127,14 @@ def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> lis
         for j, row in zip(block, terms):
             upper = uppers[j]
             results[j] = (upper / panels / 3.0) * _fsum("Simpson", upper, memoryview(row))
+
+    for start in range(0, len(rows), per_block):
+        block = rows[start : start + per_block]
+        try:
+            fill(block)
+        except Exception:
+            for j in block:
+                fill([j])
     return results
 
 

@@ -275,7 +275,7 @@ class TestWork:
 
         def counted(tree):
             f = real_function(tree)
-            return bernprim.RealFunction(f.evaluator, lambda xs: sizes.append(xs.size) or f.batch(xs))
+            return bernprim.RealFunction(f.evaluator, batch=lambda xs: sizes.append(xs.size) or f.batch(xs))
 
         monkeypatch.setattr(cli, "to_real_function", counted)
         run_json(capsys, argv)
@@ -313,6 +313,11 @@ class TestBatchFailures:
     def scalar_only(tree):
         return bernprim.RealFunction(bernprim.expr._compile(tree))
 
+    @staticmethod
+    def simpson_loop(values, uppers, panels):
+        """The oracle column as one simpson call per row, each f call one point."""
+        return [bernprim.simpson(lambda t: float(values([t])[0]), u, panels) for u in uppers]
+
     @pytest.mark.parametrize(
         "argv",
         [["approx", "--expr", text, "--n", "4"] for text in PROBE_FAILURES]
@@ -331,6 +336,7 @@ class TestBatchFailures:
     def test_stderr_is_the_scalar_paths(self, capsys, monkeypatch, argv):
         batched = run_cli(capsys, argv)
         monkeypatch.setattr(cli, "to_real_function", self.scalar_only)
+        monkeypatch.setattr(cli, "simpson_rows", self.simpson_loop)
         scalar = run_cli(capsys, argv)
         assert batched == scalar
         assert batched[0] == 3 and batched[2].startswith("numeric failure: ")
@@ -346,6 +352,10 @@ class TestBatchFailures:
         code, _, err = run_cli(capsys, argv)
         assert code == 3
         assert err == "numeric failure: evaluation of '1.0 / (x - 0.3)' failed at x=0.3: division by zero\n"
+        argv = ["converge", "--expr", "1e308*sin(30*x) + 1/(x-0.3)", "--degrees", "2", "--grid", "11", "--panels", "4"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3
+        assert err == "numeric failure: Simpson terms on [0, 0.2] overflow to -inf and +inf\n"
 
 
 class TestReportSchema:

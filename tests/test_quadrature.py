@@ -206,6 +206,26 @@ class TestSimpsonRows:
             simpson_rows(step, [1.0], 4)
         assert simpson_rows(lambda xs: np.full(xs.shape, 1e308), [1.0], 4) == [math.inf]
 
+    def test_a_failing_block_fails_as_the_loop_over_simpson(self):
+        # One block holds both rows: the row at 0.25 sums beyond float range
+        # before f fails in the row at 0.75, so the block is redone row by row.
+        sizes = []
+
+        def f(xs):
+            sizes.append(xs.size)
+            if (xs > 0.5).any():
+                raise ZeroDivisionError("f fails beyond 0.5")
+            return np.full(xs.shape, 0.4e308)
+
+        uppers = [0.25, 0.75]
+        with pytest.raises(OverflowError) as loop:
+            [simpson(one_point(f), u, 64) for u in uppers]
+        sizes.clear()
+        with pytest.raises(OverflowError) as rows:
+            simpson_rows(f, uppers, 64)
+        assert str(rows.value) == str(loop.value) == "Simpson terms on [0, 0.25] sum beyond float range"
+        assert sizes == [130, 65]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simpson_rows(sin_exp, [0.5], 3)
