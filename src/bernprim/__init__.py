@@ -16,6 +16,7 @@ from .core import (
     eval_poly,
     lipschitz_delta,
     moment_sum,
+    moment_sums,
     poly_values,
     primitive_approximant,
     required_degree,
@@ -45,6 +46,7 @@ __all__ = [
     "eval_poly",
     "lipschitz_delta",
     "moment_sum",
+    "moment_sums",
     "parse",
     "poly_values",
     "primitive_approximant",

@@ -42,7 +42,8 @@ from .core import (
     bernstein_approximant,
     eval_poly,  # noqa: F401 -- unused here; perfbench/tracer.py wraps bernprim.cli.eval_poly
     lipschitz_delta,
-    moment_sum,
+    moment_sum,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
+    moment_sums,
     poly_values,
     primitive_approximant,
     required_degree,
@@ -97,6 +98,7 @@ class UsageError(Exception):
 
 IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_central_moment"]
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
+MOMENT_KINDS = ["partition", "first", "second_central"]  # the sums identities 1-3 check
 
 
 def _tabulate(count: int, f: RealFunction, panels: int | None = None) -> tuple[list[float], ...]:
@@ -179,30 +181,37 @@ def cmd_primitive(args: argparse.Namespace) -> dict:
     return _report(args, params, fn_primitive, rows, summary)
 
 
-def _identity_residual(index: int, rng: random.Random, n_max: int, grid: int) -> float:
-    if index == 0:  # basis derivative against a central difference
-        n = rng.randint(1, min(50, n_max))
-        m = rng.randint(0, n)
-        x = rng.randint(1, grid - 2) / (grid - 1)
-        fd = central_difference(lambda t: basis_eval(m, n, t), x, 1e-6)
-        return abs(basis_derivative(m, n, x) - fd)
-    n = rng.randint(1, n_max)
-    x = rng.randint(0, grid - 1) / (grid - 1)
-    if index == 1:
-        return abs(moment_sum(n, x, "partition") - 1.0)
-    if index == 2:
-        return abs(moment_sum(n, x, "first") - n * x) / n
-    return abs(moment_sum(n, x, "second_central") - n * x * (1.0 - x)) / n
+def _derivative_residual(rng: random.Random, n_max: int, grid: int) -> float:
+    """One draw of identity 0: the basis derivative against a central difference."""
+    n = rng.randint(1, min(50, n_max))
+    m = rng.randint(0, n)
+    x = rng.randint(1, grid - 2) / (grid - 1)
+    fd = central_difference(lambda t: basis_eval(m, n, t), x, 1e-6)
+    return abs(basis_derivative(m, n, x) - fd)
 
 
 def cmd_identities(args: argparse.Namespace) -> dict:
     rng = random.Random(args.seed)
-    rows = []
-    for index, tolerance in enumerate(IDENTITY_TOLERANCES):
-        worst = max(
-            _identity_residual(index, rng, args.n_max, args.grid) for _ in range(args.grid)
-        )
-        rows.append([float(index), worst, tolerance, 1.0 if worst < tolerance else 0.0])
+    grid = args.grid
+    worst = [max(_derivative_residual(rng, args.n_max, grid) for _ in range(grid))]
+    # Identities 1-3 take all their (n, x) draws first, in rng order, and
+    # sum them in one moment_sums call.
+    ns, xs = np.empty(len(MOMENT_KINDS) * grid, dtype=np.intp), np.empty(len(MOMENT_KINDS) * grid)
+    for k in range(ns.size):
+        ns[k] = rng.randint(1, args.n_max)
+        xs[k] = rng.randint(0, grid - 1) / (grid - 1)
+    sums = moment_sums(ns, xs, [kind for kind in MOMENT_KINDS for _ in range(grid)])
+    s, n, x = (np.reshape(values, (len(MOMENT_KINDS), grid)) for values in (sums, ns, xs))
+    residuals = (
+        np.abs(s[0] - 1.0),
+        np.abs(s[1] - n[1] * x[1]) / n[1],
+        np.abs(s[2] - n[2] * x[2] * (1.0 - x[2])) / n[2],
+    )
+    worst += [float(residual.max()) for residual in residuals]
+    rows = [
+        [float(index), residual, tolerance, 1.0 if residual < tolerance else 0.0]
+        for index, (residual, tolerance) in enumerate(zip(worst, IDENTITY_TOLERANCES))
+    ]
     params = {
         "n_max": args.n_max,
         "grid": args.grid,
@@ -254,7 +263,9 @@ def cmd_bound(args: argparse.Namespace) -> dict:
         # eps * delta^2 underflowed to 0, or sup or the quotient overflowed.
         degree = math.inf
     if degree > MAX_DEGREE:
-        raise UsageError(f"required degree {degree} exceeds the supported maximum {MAX_DEGREE}")
+        # An exact degree can run to 309 digits; past 12 it is rounded.
+        shown = f"{degree:.3e}" if 10**12 <= degree < math.inf else degree
+        raise UsageError(f"required degree {shown} exceeds the supported maximum {MAX_DEGREE}")
     fn = bernstein_approximant(f, degree)
     measured = _sup_error(fn, xs, fx)
     params = {

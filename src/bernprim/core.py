@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Literal, Sequence, Union
+from typing import Callable, Iterator, Literal, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "basis_all",
     "basis_derivative",
     "moment_sum",
+    "moment_sums",
     "bernstein_approximant",
     "primitive_approximant",
     "eval_poly",
@@ -65,6 +66,16 @@ _STIRLERR = (
     0.0052076559196096404,
 )
 
+# _basis_blocks walks its draws in blocks of at most this many padded
+# weights: 64 KB arrays, which stay under glibc's 128 KB mmap threshold
+# (blocks of 15 * 2**10 weights already cost hundreds of page faults per
+# call), and on a 2-CPU x86 host ran faster than blocks of 2**12.
+_BASIS_BLOCK = 2**13
+
+# moment_sums hands _basis_blocks this many draws at a time, so its
+# bookkeeping stays small at any grid.
+_MOMENT_CHUNK = 2**12
+
 # _window_values takes its points in blocks of at most this many window
 # weights, so each temporary stays at 64 KB whatever the grid size.
 _WINDOW_BLOCK = 2**13
@@ -75,6 +86,7 @@ _PROBE_POINTS = 257
 _PROBE_GRID = np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
 
 MomentKind = Literal["partition", "first", "second_central"]
+_MOMENT_KINDS = {"partition", "first", "second_central"}
 
 
 class EvaluationError(Exception):
@@ -306,48 +318,117 @@ def basis_eval(m: int, n: int, x: float) -> float:
 
 
 def basis_all(n: int, x: float) -> np.ndarray:
-    """All n+1 basis values at x in one O(n) pass (see _basis_window)."""
+    """All n+1 basis values at x in one O(n) pass (see _basis_blocks)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _basis_window(n, _check_unit(x), n)[1]
+    x = _check_unit(x)
+    _, start, _, w, _ = next(_basis_blocks(np.array([n]), np.array([x]), np.array([n])))
+    return w[0, start[0] :]
 
 
-def _window_half(n: int) -> int:
-    """Half-width of the basis window around the mode at degree n.
+def _window_half(n):
+    """Half-width of the basis window around the mode at degree n (an int or an array).
 
     The window |m - mode| <= ceil(4.6 sqrt n) + 2 reaches more than
     4.6 sqrt(n) past n x on each side (the mode floor((n+1) x) is within 1
     of n x), so by Hoeffding's bound 2 exp(-2 t^2 / n) the weights outside
     it sum to under 1e-18.
     """
+    if isinstance(n, np.ndarray):
+        return np.ceil(4.6 * np.sqrt(n)).astype(np.intp) + 2
     return math.ceil(4.6 * math.sqrt(n)) + 2
 
 
-def _basis_window(n: int, x: float, half: int) -> tuple[int, np.ndarray]:
-    """(lo, the basis values at m = lo..hi), for |m - mode| <= half clipped to 0..n.
+def _basis_blocks(
+    n: np.ndarray, x: np.ndarray, half: np.ndarray
+) -> Iterator[tuple[list[int], list[int], list[int], np.ndarray, np.ndarray]]:
+    """The basis rows of the draws (n, x, half), as blocks (index, start, stop, w, m).
 
-    The mode is floor((n+1) x), the index of the largest weight.  At x = 0
-    and x = 1 the row is an exact unit vector.  Inside, it walks outward
-    from 1.0 at the mode with the exact neighbour ratio
-    (n-m)/(m+1) * x/(1-x), so far tails underflow harmlessly to 0, and is
-    scaled by basis_eval at the mode, never by its own sum, so the
-    partition of unity stays something to check.
+    A draw's row holds the basis values at m = lo..hi, for |m - mode| <=
+    half clipped to 0..n, where the mode floor((n+1) x) is the index of
+    the largest weight.  At x = 0 and x = 1 the row is an exact unit
+    vector.  Inside, it walks outward from 1.0 at the mode with the exact
+    neighbour ratio (n-m)/(m+1) * x/(1-x), so far tails underflow
+    harmlessly to 0, and is scaled by basis_eval at the mode, never by its
+    own sum, so the partition of unity stays something to check.
+
+    Row r of a block is draw index[r]: w[r, start[r]:stop[r]] is its row,
+    and m, of w's shape, holds the index m of each weight.  The endpoint
+    draws come first, then the inner ones from the largest n down, in
+    runs that keep each block within _BASIS_BLOCK padded weights (a row
+    wider than that is a block of its own); half must not decrease with
+    n.  A row's arithmetic is its own, so its values do not depend on the
+    draws it shares a block with.
     """
-    mode = min(int(x * (n + 1)), n)
-    lo, hi = max(mode - half, 0), min(mode + half, n)
-    at = mode - lo
-    row = np.zeros(hi - lo + 1)
-    row[at] = 1.0
-    if x in (0.0, 1.0):
-        return lo, row
-    m = np.arange(lo, hi, dtype=float)
-    ratios = (x / (1.0 - x)) * (n - m)
-    ratios /= m + 1.0  # b[m+1] / b[m]
-    ratios[at:].cumprod(out=row[at + 1 :])
-    if at > 0:
-        np.reciprocal(ratios[at - 1 :: -1]).cumprod(out=row[at - 1 :: -1])
-    row *= basis_eval(mode, n, x)
-    return lo, row
+    inner = (x > 0.0) & (x < 1.0)
+    # Endpoints first, then n from the largest down.  sorted() is stable,
+    # and unlike numpy's sorts it maps no code pages nothing else uses.
+    keys = np.where(inner, -n, -n - n.max(initial=0) - 1).tolist()
+    order = np.array(sorted(range(n.size), key=keys.__getitem__), dtype=np.intp)
+    n, x, half = n[order], x[order], half[order]
+    modes = np.minimum((x * (n + 1)).astype(np.intp), n)
+    ends = n.size - int(np.count_nonzero(inner))
+    below, above = np.minimum(modes, half).tolist(), np.minimum(n - modes, half).tolist()
+    # Columns over the inner draws: n, x / (1 - x) and basis_eval at the mode.
+    draws = zip(modes[ends:].tolist(), n[ends:].tolist(), x[ends:].tolist())
+    walks = (
+        n[ends:, None].astype(float),
+        (x[ends:] / (1.0 - x[ends:]))[:, None],
+        np.array([basis_eval(*draw) for draw in draws])[:, None],
+    )
+    widest = int(half.max(initial=0))
+    offsets = np.arange(-widest, widest + 1, dtype=float)
+    lowest, modes = modes.tolist(), modes[:, None].astype(float)
+    order, half = order.tolist(), half.tolist()
+    start = 0
+    while start < len(order):
+        # No row of the run is wider than its first, of the largest n and half.
+        stop = start + max(1, _BASIS_BLOCK // (2 * half[start] + 1))
+        stop = min(stop, ends if start < ends else len(order))
+        run = slice(start, stop)
+        most_below, most_above = max(below[run]), max(above[run])
+        m = modes[run] + offsets[widest - most_below : widest + most_above + 1]
+        if start < ends:
+            w = np.zeros(m.shape)
+            w[:, most_below] = 1.0
+        else:
+            columns = [column[start - ends : stop - ends] for column in walks]
+            w = _basis_block(*columns, m, most_below, min(lowest[run]) < most_below)
+        starts = [most_below - b for b in below[run]]
+        yield order[run], starts, [most_below + a + 1 for a in above[run]], w, m
+        del m, w  # so that the next block is built while only its own arrays are alive
+        start = stop
+
+
+def _basis_block(
+    n: np.ndarray, odds: np.ndarray, scales: np.ndarray, m: np.ndarray, below: int, reaches_0: bool
+) -> np.ndarray:
+    """Rows of basis values at the indices m, whose column `below` is each row's mode.
+
+    n, odds = x / (1 - x) and scales are columns, one entry per row.  A
+    walk's step is the neighbour ratio b[m+1] / b[m] = odds (n-m) / (m+1),
+    rounded in that order, to the columns above the mode and its
+    reciprocal below.  Each walk is one cumulative product along the
+    rows, outward from 1.0 at the mode column, and each row is then
+    multiplied by its scale.  Past a row's own window a walk runs on
+    harmlessly: its step at m = n is 0, and where the block reaches
+    below m = 0 (reaches_0) its step to m = -1 is the reciprocal of an
+    infinite ratio, 0, so no walk ever overflows.
+    """
+    steps = np.subtract(n, m[:, :-1])  # n - m, exact; step c leaves column c
+    steps *= odds
+    if reaches_0:
+        with np.errstate(divide="ignore"):  # m + 1, the next column's index, is 0 at m = -1
+            steps /= m[:, 1:]
+    else:
+        steps /= m[:, 1:]
+    np.reciprocal(steps[:, :below], out=steps[:, :below])
+    w = np.empty(m.shape)
+    w[:, below] = 1.0
+    np.multiply.accumulate(steps[:, below:], axis=1, out=w[:, below + 1 :])
+    np.multiply.accumulate(steps[:, :below][:, ::-1], axis=1, out=w[:, :below][:, ::-1])
+    w *= scales
+    return w
 
 
 def basis_derivative(m: int, n: int, x: float) -> float:
@@ -370,19 +451,48 @@ def moment_sum(n: int, x: float, kind: MomentKind) -> float:
     |m - mode| <= _window_half(n), O(sqrt n) weights; the weights left
     out total under 1e-18.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    x = _check_unit(x)
-    lo, row = _basis_window(n, x, _window_half(n))
-    if kind == "partition":
-        return float(row.sum())
-    m = np.arange(lo, lo + row.size, dtype=float)
-    if kind == "first":
-        return float(np.dot(m, row))
-    if kind == "second_central":
-        centered = n * x - m
-        return float(np.dot(centered * centered, row))
-    raise ValueError(f"unknown moment kind {kind!r}")
+    return float(moment_sums([n], [x], kind)[0])
+
+
+def moment_sums(
+    ns: Sequence[int], xs: Sequence[float], kind: MomentKind | Sequence[MomentKind]
+) -> np.ndarray:
+    """moment_sum(n, x, kind) for each pair of ns and xs, bit for bit.
+
+    kind is one kind for every pair, or a sequence of one kind per pair.
+    The pairs go _MOMENT_CHUNK at a time to _basis_blocks, which builds
+    their rows in blocks, but each pair's sum runs over its own row
+    alone, as moment_sum's does.  A bad pair raises moment_sum's error.
+    """
+    kinds = [kind] * len(ns) if isinstance(kind, str) else kind
+    if not len(ns) == len(xs) == len(kinds):
+        raise ValueError("ns, xs and the kinds must be of one length")
+    sums = np.empty(len(ns))
+    for first in range(0, len(ns), _MOMENT_CHUNK):
+        chunk = slice(first, first + _MOMENT_CHUNK)
+        n = np.asarray(ns[chunk], dtype=np.intp)
+        x = np.asarray(xs[chunk], dtype=float)
+        if n.min() < 1:
+            raise ValueError(f"n must be >= 1, got {n[(n < 1).argmax()]}")
+        if not (x.min() >= 0.0 and x.max() <= 1.0):  # false for nan too
+            _check_unit(x[(~((x >= 0.0) & (x <= 1.0))).argmax()])  # raises the per-point message
+        chunk_kinds = kinds[chunk]
+        if not set(chunk_kinds) <= _MOMENT_KINDS:
+            unknown = next(k for k in chunk_kinds if k not in _MOMENT_KINDS)
+            raise ValueError(f"unknown moment kind {unknown!r}")
+        nx = (n * x).tolist()
+        for index, start, stop, w, m in _basis_blocks(n, x, _window_half(n)):
+            for i, a, b, row, m_row in zip(index, start, stop, w, m):
+                row, factors = row[a:b], m_row[a:b]
+                if chunk_kinds[i] == "partition":
+                    sums[first + i] = np.add.reduce(row)  # = row.sum()
+                    continue
+                if chunk_kinds[i] == "second_central":
+                    factors = np.subtract(nx[i], factors)  # n x - m
+                    factors *= factors
+                sums[first + i] = factors.dot(row)
+            del w, m, row, m_row, factors  # as _basis_blocks does, before the next block
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def _syntax_error(offset: int, expected: str, found: str) -> ParseError:
     return _parse_error(offset, f"expected {expected}, found {found}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "ident", "op", "eof"
     text: str
     offset: int  # 1-based byte offset of the first character
@@ -112,30 +111,27 @@ class _Token:
         return "end of input" if self.kind == "eof" else f"'{self.text}'"
 
 
+# One token after any whitespace; "bad" is a character that starts none.
 _TOKEN_RE = re.compile(
-    r"(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S))"
 )
 
 _BASE_EXPECTED = "number, 'x', '(', '-', or function name"
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise _syntax_error(pos + 1, "number, identifier, or operator", f"'{text[pos]}'")
-        kind = match.lastgroup or "op"
-        tokens.append(_Token(kind, match.group(), pos + 1))
-        pos = match.end()
-    tokens.append(_Token("eof", "", length + 1))
+    """Every token of text, then eof; the first bad character raises ParseError."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        offset = match.start(kind) + 1
+        if kind == "bad":
+            raise _syntax_error(offset, "number, identifier, or operator", f"'{match[kind]}'")
+        tokens.append(_Token(kind, match[kind], offset))
+    tokens.append(_Token("eof", "", len(text) + 1))
     return tokens
 
 

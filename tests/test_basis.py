@@ -26,7 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernprim.core as core
-from bernprim import basis_all, basis_derivative, basis_eval, binomial_convention, moment_sum
+from bernprim import (
+    basis_all,
+    basis_derivative,
+    basis_eval,
+    binomial_convention,
+    moment_sum,
+    moment_sums,
+)
 from bernprim.core import _window_half
 
 # Degrees for the mpmath comparison: naive product (10), just past its
@@ -256,3 +263,116 @@ class TestMomentSum:
             moment_sum(4, 0.5, "third")  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             moment_sum(4, 1.5, "partition")
+
+
+KINDS = ("partition", "first", "second_central")
+
+# Sums frozen from the per-draw window walk that moment_sums replaced, by
+# float.hex: (n, x, kind, sum).
+FROZEN_SUMS = [
+    (1, 0.5, "partition", "0x1.0000000000000p+0"),
+    (7, 0.3, "first", "0x1.0ccccccccccccp+1"),
+    (40, 0.3, "second_central", "0x1.0ccccccccccc2p+3"),
+    (51, 0.37, "partition", "0x1.fffffffffffffp-1"),
+    (1000, 0.123, "first", "0x1.ec00000000002p+6"),
+    (2001, 0.999, "second_central", "0x1.ffbe6601bc993p+0"),
+    (99991, 0.5, "first", "0x1.8697000000000p+15"),
+    (100000, 1 / 3, "second_central", "0x1.5b38e38e38e3ap+14"),
+    (100000, 2**-20, "partition", "0x1.fffffffffffffp-1"),
+    (100000, 0.0, "first", "0x0.0p+0"),
+    (77777, 1.0, "first", "0x1.2fd1000000000p+16"),
+    (65536, 0.75, "partition", "0x1.ffffffffffffep-1"),
+]
+
+
+def draws(seed: int, count: int) -> tuple[list[int], list[float]]:
+    """Log-uniform degrees up to 1e5; grid points, endpoints and arbitrary x."""
+    rng = random.Random(seed)
+    ns = [max(1, int(10 ** rng.uniform(0, 5))) for _ in range(count)]
+    xs = []
+    for _ in range(count):
+        pick = rng.random()
+        if pick < 0.1:
+            xs.append(rng.choice((0.0, 1.0)))
+        elif pick < 0.5:
+            grid = rng.randint(3, 100001)
+            xs.append(rng.randint(0, grid - 1) / (grid - 1))
+        else:
+            xs.append(rng.random())
+    return ns, xs
+
+
+class TestMomentSums:
+    """The batched sums equal moment_sum's, draw by draw, bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed,count", [(1, 1), (2, 3), (3, 25), (4, 101), (5, 400)])
+    def test_equal_per_draw_moment_sum(self, kind, seed, count):
+        ns, xs = draws(seed, count)
+        batched = moment_sums(ns, xs, kind).tolist()
+        assert [s.hex() for s in batched] == [moment_sum(n, x, kind).hex() for n, x in zip(ns, xs)]
+
+    def test_one_kind_per_pair(self):
+        ns, xs = draws(9, 300)
+        kinds = [random.Random(i).choice(KINDS) for i in range(len(ns))]
+        batched = moment_sums(ns, xs, kinds).tolist()
+        assert [s.hex() for s in batched] == [moment_sum(*draw).hex() for draw in zip(ns, xs, kinds)]
+
+    @pytest.mark.parametrize("n,x,kind,frozen", FROZEN_SUMS)
+    def test_frozen_sums(self, n, x, kind, frozen):
+        assert moment_sum(n, x, kind).hex() == frozen
+        # The same draw among others, in one block or several.
+        ns, xs = draws(6, 60)
+        assert moment_sums([*ns, n], [*xs, x], kind)[-1].hex() == frozen
+
+    @pytest.mark.parametrize("bound", [1, 100, 3000, 2**14])
+    def test_a_row_does_not_depend_on_its_block(self, monkeypatch, bound):
+        ns, xs = draws(7, 120)
+        alone = {kind: [moment_sum(n, x, kind).hex() for n, x in zip(ns, xs)] for kind in KINDS}
+        monkeypatch.setattr(core, "_BASIS_BLOCK", bound)
+        order = random.Random(bound).sample(range(len(ns)), len(ns))
+        for kind in KINDS:
+            sums = moment_sums([ns[i] for i in order], [xs[i] for i in order], kind)
+            assert [sums[k].hex() for k in sorted(range(len(order)), key=order.__getitem__)] == alone[kind]
+
+    def test_blocks_stay_within_the_bound(self, monkeypatch):
+        areas = []
+        blocks = core._basis_blocks
+
+        def counted(*args):
+            for block in blocks(*args):
+                areas.append(block[3].size)
+                yield block
+
+        monkeypatch.setattr(core, "_basis_blocks", counted)
+        ns, xs = draws(8, 2000)
+        moment_sums(ns, xs, "partition")
+        assert len(areas) > 1
+        assert max(areas) <= core._BASIS_BLOCK
+
+    def test_quiet_at_the_edges(self):
+        # Windows that reach below m = 0 or past m = n, next to wide ones.
+        ns = [1, 2, 100000, 3, 60, 100000, 1]
+        xs = [0.5, 1e-300, 1e-5, 1.0 - 2**-53, 0.01, 0.99999, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in KINDS:
+                sums = moment_sums(ns, xs, kind)
+                assert [s.hex() for s in sums.tolist()] == [moment_sum(n, x, kind).hex() for n, x in zip(ns, xs)]
+
+    def test_empty(self):
+        assert moment_sums([], [], "first").shape == (0,)
+
+    def test_bad_arguments_rejected_as_moment_sum_does(self):
+        for ns, xs, kind, message in [
+            ([3, 0], [0.5, 0.5], "first", "n must be >= 1, got 0"),
+            ([3, 4], [0.5, 1.5], "first", "x must lie in [0, 1], got 1.5"),
+            ([3, 4], [0.5, float("nan")], "first", "x must lie in [0, 1], got nan"),
+            ([3], [0.5], "third", "unknown moment kind 'third'"),
+            ([3], [0.5, 0.5], "first", "ns, xs and the kinds must be of one length"),
+            ([3, 4], [0.5, 0.5], ["first"], "ns, xs and the kinds must be of one length"),
+            ([3, 4], [0.5, 0.5], ["first", "third"], "unknown moment kind 'third'"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                moment_sums(ns, xs, kind)  # type: ignore[arg-type]
+            assert str(excinfo.value) == message

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import bernprim
 import bernprim.cli as cli
+import bernprim.core as core
 from bernprim.cli import REPORT_SCHEMA, main
 from cli_cases import GOLDEN_CASES, golden_path
 
@@ -191,6 +192,25 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize(
+        "expr,eps,delta,degree",
+        [
+            ("exp(x)", "1e-3", "0.01", "109818586"),
+            # Past 12 digits the exact degree (here 306 of them) is rounded.
+            ("exp(x)", "1e-6", "0.001", "1.098e+13"),
+            ("exp(x)^700", "0.5", "0.5", "3.278e+305"),
+            # eps * delta^2 underflows.
+            ("x", "1e-320", "1", "inf"),
+        ],
+    )
+    def test_degree_over_the_cap_is_printed_compactly(self, capsys, expr, eps, delta, degree):
+        argv = ["bound", "--expr", expr, "--eps", eps, "--delta", delta]
+        assert run_cli(capsys, argv) == (
+            2,
+            "",
+            f"usage error: required degree {degree} exceeds the supported maximum 100000\n",
+        )
+
     @pytest.mark.parametrize("expr", ["0", "1e-320"])
     def test_tiny_function_keeps_a_small_degree_under_extreme_flags(self, capsys, expr):
         for step in (["--delta", "1"], ["--delta", "1e-10"]):
@@ -300,6 +320,22 @@ class TestWork:
         rows = int(samples) - 1  # the row at 0 hands f no node
         assert sum(sizes) == 257 + 5 + rows * (int(panels) + 1) + int(samples)
         assert max(sizes) <= bound
+
+
+    def test_basis_blocks_stay_under_the_bound_at_the_grid_cap(self, capsys, monkeypatch):
+        sizes = []
+        blocks = core._basis_blocks
+
+        def counted(*args):
+            for block in blocks(*args):
+                sizes.append(block[3].size)  # the block's padded weights
+                yield block
+
+        monkeypatch.setattr(core, "_basis_blocks", counted)
+        argv = ["identities", "--n-max", "100000", "--grid", "100001", "--seed", "3"]
+        assert run_json(capsys, argv)["summary"]["passed"] is True
+        assert sum(sizes) >= 3 * 100001  # every draw's row, padded
+        assert max(sizes) <= core._BASIS_BLOCK
 
 
 # Each fails in the construction probe.
@@ -412,6 +448,22 @@ class TestReportSchema:
         ]
         assert all(row[3] == 1.0 for row in report["table"])
         assert report["summary"]["passed"] is True
+
+    # The residual column, by float.hex, frozen from the per-draw moment
+    # sums that the batched ones replaced.
+    @pytest.mark.parametrize(
+        "seed,residuals",
+        [
+            (0, ["0x1.648c580000000p-30", "0x1.e000000000000p-49", "0x1.8ff3241b11e62p-50", "0x1.e1e1e1e1e1e1ep-52"]),
+            (1, ["0x1.5d48800000000p-32", "0x1.8000000000000p-50", "0x1.be35119e2e028p-51", "0x1.63543c07fb246p-52"]),
+            (2, ["0x1.7371100000000p-31", "0x1.4000000000000p-49", "0x1.5337d239138d7p-51", "0x1.3827e3f46a851p-52"]),
+        ],
+    )
+    def test_identities_residuals_are_frozen(self, capsys, seed, residuals):
+        argv = ["identities", "--n-max", "100000", "--grid", "101", "--seed", str(seed)]
+        report = run_json(capsys, argv)
+        assert [row[1].hex() for row in report["table"]] == residuals
+        assert report["summary"]["max_error"].hex() == residuals[0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_identities_pass_at_max_degree(self, capsys, seed):

@@ -67,6 +67,10 @@ PARSE_ERROR_CASES = [
     ("y + 1", 1, "parse error at byte 1: unknown identifier 'y'"),
     ("foo(x)", 1, "parse error at byte 1: unknown identifier 'foo'"),
     ("x $ 1", 3, "parse error at byte 3: expected number, identifier, or operator, found '$'"),
+    # Tokenizing is eager, so a bad character anywhere wins over a syntax
+    # error before it.
+    ("x^^2 $", 6, "parse error at byte 6: expected number, identifier, or operator, found '$'"),
+    ("x\t\n$", 4, "parse error at byte 4: expected number, identifier, or operator, found '$'"),
 ]
 
 ROUNDTRIP_CORPUS = [
@@ -282,6 +286,15 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             parse("   ?")
         assert excinfo.value.offset == 4
+
+    def test_whitespace_is_what_isspace_says(self):
+        assert parse("x\u3000+\x1c1 \n") == parse("x + 1")
+        assert not "\u200b".isspace()
+        with pytest.raises(ParseError) as excinfo:
+            parse("x\u200b+ 1")
+        assert str(excinfo.value) == (
+            "parse error at byte 2: expected number, identifier, or operator, found '\u200b'"
+        )
 
 
 # (kind, deepest accepted text, the text one level deeper, byte it is rejected at)
