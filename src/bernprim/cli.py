@@ -36,7 +36,6 @@ from .core import (
     BernsteinPoly,
     EvaluationError,
     RealFunction,
-    antiderivative_poly,
     basis_derivative,
     basis_eval,
     bernstein_approximant,
@@ -44,6 +43,7 @@ from .core import (
     lipschitz_delta,
     moment_sum,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
     moment_sums,
+    poly_and_primitive_values,
     poly_values,
     primitive_approximant,
     required_degree,
@@ -99,6 +99,7 @@ class UsageError(Exception):
 IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_central_moment"]
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
 MOMENT_KINDS = ["partition", "first", "second_central"]  # the sums identities 1-3 check
+EXPR_COMMANDS = ("approx", "primitive", "converge", "bound")  # the subcommands that take --expr
 
 
 def _tabulate(count: int, f: RealFunction, panels: int | None = None) -> tuple[list[float], ...]:
@@ -113,9 +114,9 @@ def _tabulate(count: int, f: RealFunction, panels: int | None = None) -> tuple[l
     return (xs, *oracle, f.values(xs).tolist())
 
 
-def _sup_error(p: BernsteinPoly, xs: list[float], reference: list[float]) -> float:
-    """max |p(x) - reference value| over xs, from one poly_values call."""
-    return float(np.max(np.abs(poly_values(p, xs) - reference)))
+def _max_gap(values: np.ndarray, reference: list[float]) -> float:
+    """max |value - reference value| over the points of a grid."""
+    return float(np.max(np.abs(values - reference)))
 
 
 def _report(
@@ -233,8 +234,8 @@ def cmd_converge(args: argparse.Namespace) -> dict:
     table = []
     for n in args.degrees:
         fn = bernstein_approximant(f, n)
-        primitive = antiderivative_poly(fn)
-        table.append([float(n), _sup_error(fn, xs, fx), _sup_error(primitive, xs, oracle)])
+        values, primitive = poly_and_primitive_values(fn, xs)
+        table.append([float(n), _max_gap(values, fx), _max_gap(primitive, oracle)])
     rates = [
         math.log(e_a / e_b) / math.log(n_b / n_a) if e_a > 0.0 and e_b > 0.0 else 0.0
         for (n_a, e_a, _), (n_b, e_b, _) in zip(table, table[1:])
@@ -267,7 +268,7 @@ def cmd_bound(args: argparse.Namespace) -> dict:
         shown = f"{degree:.3e}" if 10**12 <= degree < math.inf else degree
         raise UsageError(f"required degree {shown} exceeds the supported maximum {MAX_DEGREE}")
     fn = bernstein_approximant(f, degree)
-    measured = _sup_error(fn, xs, fx)
+    measured = _max_gap(poly_values(fn, xs), fx)
     params = {
         "eps": args.eps,
         "delta_flag": args.delta,
@@ -407,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--emit", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write the report to this file")
+        if name in EXPR_COMMANDS:
+            p.add_argument("--expr", required=True)
         p.set_defaults(run=run)
         return p
 
     p_approx = add("approx", cmd_approx, "evaluate the Bernstein approximant of --expr")
-    p_approx.add_argument("--expr", required=True)
     p_approx.add_argument("--n", type=_degree, required=True)
     p_approx.add_argument("--samples", type=_count, default=11)
 
     p_prim = add("primitive", cmd_primitive, "build the polynomial antiderivative of --expr")
-    p_prim.add_argument("--expr", required=True)
     p_prim.add_argument("--n", type=_degree, required=True)
     p_prim.add_argument("--samples", type=_count, default=11)
     p_prim.add_argument("--panels", type=_panels, default=256)
@@ -428,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
 
     p_conv = add("converge", cmd_converge, "sweep degrees and report sup errors")
-    p_conv.add_argument("--expr", required=True)
     p_conv.add_argument("--degrees", type=_degree_list, required=True)
     p_conv.add_argument("--grid", type=_count, default=1001)
     p_conv.add_argument("--panels", type=_panels, default=256)
 
     p_bound = add("bound", cmd_bound, "degree sufficient for a target sup error")
-    p_bound.add_argument("--expr", required=True)
     p_bound.add_argument("--eps", type=_real_in(), required=True)
     step = p_bound.add_mutually_exclusive_group(required=True)
     step.add_argument("--delta", type=_real_in(1.0), default=None)
@@ -442,6 +441,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--grid", type=_count, default=1001)
 
     return parser
+
+
+def _join_expr_values(argv: list[str]) -> list[str]:
+    """argv with each `--expr VALUE` whose VALUE starts with one '-' written `--expr=VALUE`.
+
+    argparse takes a word such as -x^2 for an unknown option, which leaves
+    --expr without its value; joined, it is a value.  Only the
+    subcommands of EXPR_COMMANDS are rewritten.  A word that starts with
+    '--', and -h, stay options, so `--expr --n 3` is still the usage
+    error it was.
+    """
+    if not argv or argv[0] not in EXPR_COMMANDS:
+        return argv
+    joined = []
+    for word in argv:
+        if joined and joined[-1] == "--expr" and word[:1] == "-" and word[:2] != "--" and word != "-h":
+            joined[-1] = f"--expr={word}"
+        else:
+            joined.append(word)
+    return joined
 
 
 @functools.cache
@@ -452,7 +471,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_expr_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -33,6 +33,7 @@ __all__ = [
     "primitive_approximant",
     "eval_poly",
     "poly_values",
+    "poly_and_primitive_values",
     "derivative_poly",
     "antiderivative_poly",
     "difference_quotient",
@@ -544,27 +545,32 @@ def _windows(table: np.ndarray, width: int, step: int = 1) -> np.ndarray:
     return rows
 
 
-def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
-    """Sum of coeffs[m] * b_{m,n}(x) over |m - mode| <= _window_half(n), at each x.
+def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np.ndarray]:
+    """For each of rows, the sum of row[m] * b_{m,n}(x) over |m - mode| <= _window_half(n), at each x.
 
+    rows are the coefficient tuples of k polynomials of one degree n;
+    the result is k arrays, one per row, each of one value per point.
     The weights are basis_all's relative to the one at the mode
     floor((n+1) x), walked outward from 1.0 with the exact neighbour
     ratios; dividing them by their computed sum removes that unknown
-    scale, so the result is a convex combination of the coefficients.
-    It is summed as c_mode + sum_m w_m (c_m - c_mode), on halved
-    coefficients so that no difference overflows: a constant above the
-    subnormal range comes back exactly (a subnormal one loses its last
-    bit to the halving), and the rounding follows the spread of the
-    coefficients in the window rather than their size.
+    scale, so each value is a convex combination of its row's
+    coefficients.  It is summed as c_mode + sum_m w_m (c_m - c_mode), on
+    halved coefficients so that no difference overflows: a constant
+    above the subnormal range comes back exactly (a subnormal one loses
+    its last bit to the halving), and the rounding follows the spread of
+    the coefficients in the window rather than their size.
     The window is _window_half(n) wide on each side, so the dropped
     weights sum to under 1e-18.
 
-    Points go _WINDOW_BLOCK weights at a time, one window per row.  A
-    row's arithmetic depends on its own point alone, so a point gets the
+    Points go _WINDOW_BLOCK weights at a time, one window per row of a
+    block.  Each block's weights are walked and normalised once, and
+    each coefficient row then takes its own spread sum over them, so a
+    row's values are those of a call with that row alone, bit for bit.
+    A point's arithmetic depends on that point alone, so it gets the
     same value whichever call or block it is evaluated in.
     """
-    n = len(coeffs) - 1
-    values = np.where(xs == 0.0, coeffs[0], coeffs[n])
+    n = len(rows[0]) - 1
+    values = [np.where(xs == 0.0, row[0], row[n]) for row in rows]
     inner = np.flatnonzero((xs > 0.0) & (xs < 1.0))
     if inner.size == 0:
         return values
@@ -582,22 +588,22 @@ def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
     up[first - lo : stop - lo] = (n - m) / (m + 1.0)
     down = np.zeros(hi - lo + 1)  # b_m / b_{m+1} * odds
     down[first - lo : stop - lo] = (m + 1.0) / (n - m)
-    halved = np.zeros(hi - lo + 1)
-    halved[first - lo : n + 1 - lo] = 0.5 * np.array(coeffs[first : hi + 1])
     # Table position t holds index t + lo.  At k = mode - lo, row k of
     # up_rows holds up[mode], up[mode + 1], ...; row k - half of down_rows
-    # holds down[mode - 1], down[mode - 2], ...; and row k - half of
-    # coeff_rows holds the window's halved coefficients.
+    # holds down[mode - 1], down[mode - 2], ...; and row k - half of a
+    # row's windows holds the window's halved coefficients.
     up_rows = _windows(up, half)
     down_rows = _windows(down, half, -1)
-    coeff_rows = _windows(halved, 2 * half + 1)
     at = modes - lo
-    refs = halved[at]
-    sums = np.empty(at.size)
+    per_row = []  # (windows, the halved coefficient at each mode, sums)
+    for row in rows:
+        halved = np.zeros(hi - lo + 1)
+        halved[first - lo : n + 1 - lo] = 0.5 * np.array(row[first : hi + 1])
+        per_row.append((_windows(halved, 2 * half + 1), halved[at], np.empty(at.size)))
     block = max(1, _WINDOW_BLOCK // (2 * half + 1))
     for start in range(0, at.size, block):
-        rows = slice(start, start + block)
-        k, ref, r = at[rows], refs[rows], odds[rows]
+        points = slice(start, start + block)
+        k, r = at[points], odds[points]
         w = np.empty((k.size, 2 * half + 1))
         w[:, half] = 1.0
         # Outward from the mode: b_{m+1} = b_m * up[m] * odds above it,
@@ -605,16 +611,19 @@ def _window_values(coeffs: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
         steps = up_rows[k]
         steps *= r
         np.cumprod(steps, axis=1, out=w[:, half + 1 :])
-        steps = down_rows[k - half]
+        k = k - half
+        steps = down_rows[k]
         steps /= r
         np.cumprod(steps, axis=1, out=w[:, half - 1 :: -1])
         w /= w.sum(axis=1, keepdims=True)
-        spread = coeff_rows[k - half]
-        spread -= ref[:, None]
-        spread *= w
-        sums[rows] = spread.sum(axis=1)
-    sums += refs
-    values[inner] = 2.0 * sums
+        for windows, refs, sums in per_row:
+            spread = windows[k]
+            spread -= refs[points, None]
+            spread *= w
+            sums[points] = spread.sum(axis=1)
+    for row_values, (_, refs, sums) in zip(values, per_row):
+        sums += refs
+        row_values[inner] = 2.0 * sums
     return values
 
 
@@ -626,7 +635,17 @@ def eval_poly(p: BernsteinPoly, x: float) -> float:
     rounding.
     """
     x = _check_unit(x)
-    return float(_window_values(p.coeffs, np.array([x]))[0])
+    return float(_window_values((p.coeffs,), np.array([x]))[0][0])
+
+
+def _unit_grid(xs: Sequence[float]) -> np.ndarray:
+    """xs as a 1-D float array, checked to lie in [0, 1]."""
+    grid = np.asarray(xs, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("xs must be one-dimensional")
+    if grid.size and not (0.0 <= grid.min() and grid.max() <= 1.0):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    return grid
 
 
 def poly_values(p: BernsteinPoly, xs: Sequence[float]) -> np.ndarray:
@@ -635,12 +654,30 @@ def poly_values(p: BernsteinPoly, xs: Sequence[float]) -> np.ndarray:
     One _window_values pass, one basis window per row; a row's arithmetic
     depends on its own point only, so results match eval_poly bitwise.
     """
-    grid = np.asarray(xs, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("xs must be one-dimensional")
-    if grid.size and not (0.0 <= grid.min() and grid.max() <= 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    return _window_values(p.coeffs, grid)
+    return _window_values((p.coeffs,), _unit_grid(xs))[0]
+
+
+def poly_and_primitive_values(
+    p: BernsteinPoly, xs: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """p and its antiderivative F = antiderivative_poly(p) at many points, from one basis walk.
+
+    The first array is poly_values(p, xs), bit for bit.  With F's
+    coefficients C_0..C_{n+1}, one de Casteljau step,
+    b_{j,n+1} = (1 - x) b_{j,n} + x b_{j-1,n}, and C_{m+1} - C_m =
+    c_m / (n+1) give F(x) = sum_{m<=n} C_m b_{m,n}(x) + x p(x) / (n+1),
+    so F's values come from the same degree-n windows as p's: one walk of
+    _window_values with the rows c and C_0..C_n.  F(0) is exactly 0 and
+    F(1) is exactly C_{n+1}; inside, F agrees with poly_values(F, xs) to
+    within a few ulp of max |C|.  A prefix sum of p beyond float range
+    raises antiderivative_poly's OverflowError.
+    """
+    grid = _unit_grid(xs)
+    primitive = antiderivative_poly(p).coeffs
+    values, partial = _window_values((p.coeffs, primitive[:-1]), grid)
+    partial += grid * values / (p.degree + 1)
+    partial[grid == 1.0] = primitive[-1]
+    return values, partial
 
 
 def derivative_poly(p: BernsteinPoly) -> BernsteinPoly:

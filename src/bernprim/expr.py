@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -111,28 +111,55 @@ class _Token(NamedTuple):
         return "end of input" if self.kind == "eof" else f"'{self.text}'"
 
 
-# One token after any whitespace; "bad" is a character that starts none.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),])"
-    r"|(?P<bad>\S))"
-)
+# The three kinds of token; "number" tries its integer-part form first.
+_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+_OP = r"[-+*/^(),]"
+
+# One token after any whitespace.
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<number>{_NUMBER})|(?P<ident>{_IDENT})|(?P<op>{_OP}))")
+_KINDS = {group: kind for kind, group in _TOKEN_RE.groupindex.items()}
+
+# Up to 2**10 tokens from where a match starts, each read as _TOKEN_RE
+# reads it, then any whitespace.  Nothing follows the repetition, so a
+# match never backtracks into it, and the bound caps the state the regex
+# engine keeps per match (about 200 bytes a token) at any text length.
+_LEXICAL_RE = re.compile(rf"(?:\s*(?:{_NUMBER}|{_IDENT}|{_OP})){{0,{2**10}}}\s*")
 
 _BASE_EXPECTED = "number, 'x', '(', '-', or function name"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """Every token of text, then eof; the first bad character raises ParseError."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        offset = match.start(kind) + 1
-        if kind == "bad":
-            raise _syntax_error(offset, "number, identifier, or operator", f"'{match[kind]}'")
-        tokens.append(_Token(kind, match[kind], offset))
-    tokens.append(_Token("eof", "", len(text) + 1))
-    return tokens
+def _lexical_error(text: str, start: int = 0) -> ParseError | None:
+    """The error for the first character that starts no token, from text[start] on; or None.
+
+    start must be where a token could start.  One regex scan in C, 2**10
+    tokens a match, where tokenizing the rest of a long text in Python
+    would cost a microsecond a token.
+    """
+    end, previous = start, -1
+    while end != previous:  # stops at the first character that starts no token
+        previous, end = end, _LEXICAL_RE.match(text, end).end()
+    if end == len(text):
+        return None
+    return _syntax_error(end + 1, "number, identifier, or operator", f"'{text[end]}'")
+
+
+def _tokens(text: str) -> Iterator[_Token]:
+    """The tokens of text, then eof, each made when the parser reads it.
+
+    The first character that starts no token raises its ParseError when
+    the parser reaches it.
+    """
+    end = 0
+    for match in iter(_TOKEN_RE.scanner(text).match, None):
+        group, end = match.lastindex, match.end()
+        # _make, unlike _Token(...), runs no Python-level __new__.
+        yield _Token._make((_KINDS[group], match[group], match.start(group) + 1))
+    if end < len(text):  # whitespace, or a character that starts no token
+        error = _lexical_error(text, end)
+        if error:
+            raise error
+    yield _Token("eof", "", len(text) + 1)
 
 
 # Deepest nesting parse() accepts, counting both the parser's own recursion
@@ -154,17 +181,17 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 class _Parser:
     """Recursive descent with precedence climbing; each parse_* method returns (tree, height)."""
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
+    def __init__(self, tokens: Iterator[_Token]):
+        self.pull = tokens.__next__
+        self.token = self.pull()  # the next token to read; eof is never read past
         self.depth = 0  # recursion depth of the descent in progress
 
     def peek(self) -> _Token:
-        return self.tokens[self.index]
+        return self.token
 
     def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
+        token = self.token
+        self.token = self.pull()
         return token
 
     def expect_op(self, op: str) -> None:
@@ -251,12 +278,22 @@ class _Parser:
 
 
 def parse(text: str) -> ExprAst:
-    """Parse an expression in x, or raise ParseError with a byte offset."""
-    parser = _Parser(_tokenize(text))
-    node, _ = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise _syntax_error(trailing.offset, "end of input", trailing.describe())
+    """Parse an expression in x, or raise ParseError with a byte offset.
+
+    The parser reads tokens as it goes, so it stops tokenizing where the
+    text first fails, such as 101 parentheses into 3000.  A character
+    that starts no token still wins over any syntax or depth error, as
+    if the whole text were tokenized first: before such an error is
+    raised, one scan of the whole text looks for one.
+    """
+    parser = _Parser(_tokens(text))
+    try:
+        node, _ = parser.parse_expr()
+        trailing = parser.peek()
+        if trailing.kind != "eof":
+            raise _syntax_error(trailing.offset, "end of input", trailing.describe())
+    except ParseError as error:
+        raise (_lexical_error(text) or error) from None
     return node
 
 

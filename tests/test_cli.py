@@ -14,6 +14,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,31 @@ class TestExitCodes:
         assert run_cli(capsys, ["approx", "--n", "5"])[0] == 2  # missing --expr
         assert run_cli(capsys, ["approx", "--expr", "x", "--n", "five"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--expr", "-x^2", "--n", "2"],
+            ["approx", "--n", "2", "--expr", "-x^2", "--emit", "csv"],
+            ["primitive", "--expr", "-sin(x)", "--n", "4", "--samples", "3", "--panels", "4"],
+            ["converge", "--expr", "-x", "--degrees", "2,4", "--grid", "5", "--panels", "2"],
+            ["bound", "--expr", "-1 + x", "--eps", "0.5", "--delta", "0.5", "--grid", "11"],
+            ["approx", "--expr", "-(", "--n", "2"],  # a parse error, reported as such
+        ],
+    )
+    def test_expr_values_may_start_with_a_dash(self, capsys, argv):
+        # argparse alone reads -x^2 as an unknown option; the report is
+        # byte for byte the one of the --expr=-x^2 form.
+        at = argv.index("--expr")
+        joined = [*argv[:at], f"--expr={argv[at + 1]}", *argv[at + 2 :]]
+        assert run_cli(capsys, argv) == run_cli(capsys, joined)
+        assert run_cli(capsys, argv)[0] in (0, 2)
+
+    @pytest.mark.parametrize("value", ["--n", "-h"])
+    def test_options_after_expr_are_still_options(self, capsys, value):
+        code, out, err = run_cli(capsys, ["approx", "--expr", value, "3"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --expr: expected one argument\n")
+
     def test_degree_cap_applies_to_bound(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -252,6 +278,21 @@ class TestHighDegree:
             report = run_json(capsys, argv)
         assert [row[2] for row in report["table"]] == [5e307] * 3
         assert report["summary"]["max_error"] == 0.0
+
+    def test_converge_columns_match_direct_evaluation(self, capsys):
+        # sup_error_fn is poly_values's, bit for bit; sup_error_Fn, from
+        # f_n's degree-n windows, is within 4 ulp of max|C| of the one
+        # from F_n's own degree-(n+1) windows.
+        argv = ["converge", "--expr", "sin(3*x)*exp(x)", "--degrees", "1,7,1000,8081", "--grid", "401", "--panels", "8"]
+        report = run_json(capsys, argv)
+        f = bernprim.to_real_function(bernprim.parse("sin(3*x)*exp(x)"))
+        xs, oracle, fx = cli._tabulate(401, f, 8)
+        for n, error_fn, error_primitive in report["table"]:
+            fn = bernprim.bernstein_approximant(f, int(n))
+            primitive = bernprim.antiderivative_poly(fn)
+            assert error_fn == float(np.max(np.abs(bernprim.poly_values(fn, xs) - fx)))
+            direct = float(np.max(np.abs(bernprim.poly_values(primitive, xs) - oracle)))
+            assert abs(error_primitive - direct) <= 4 * 2.0**-52 * max(map(abs, primitive.coeffs))
 
     @pytest.mark.parametrize("command,column", [("approx", "f_n"), ("primitive", "F_n")])
     def test_sample_column_is_eval_poly_bit_for_bit(self, capsys, command, column):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,10 +69,18 @@ PARSE_ERROR_CASES = [
     ("y + 1", 1, "parse error at byte 1: unknown identifier 'y'"),
     ("foo(x)", 1, "parse error at byte 1: unknown identifier 'foo'"),
     ("x $ 1", 3, "parse error at byte 3: expected number, identifier, or operator, found '$'"),
-    # Tokenizing is eager, so a bad character anywhere wins over a syntax
-    # error before it.
+    # Before a syntax or depth error is raised, the whole text is scanned
+    # for characters that start no token, so a bad character anywhere wins
+    # over a syntax or depth error before it.
     ("x^^2 $", 6, "parse error at byte 6: expected number, identifier, or operator, found '$'"),
     ("x\t\n$", 4, "parse error at byte 4: expected number, identifier, or operator, found '$'"),
+    ("(" * 3000 + "$", 3001, "parse error at byte 3001: expected number, identifier, or operator, found '$'"),
+    ("(" * 3000 + "x", 101, "parse error at byte 101: expression nests deeper than 100 levels"),
+    # A '.' starts a number only before a digit; inside one it is read
+    # with the digits before it.
+    ("1..5 + x.", 9, "parse error at byte 9: expected number, identifier, or operator, found '.'"),
+    ("1e5.", 4, "parse error at byte 4: expected number, identifier, or operator, found '.'"),
+    ("x1.", 3, "parse error at byte 3: expected number, identifier, or operator, found '.'"),
 ]
 
 ROUNDTRIP_CORPUS = [
@@ -295,6 +305,60 @@ class TestParseErrors:
         assert str(excinfo.value) == (
             "parse error at byte 2: expected number, identifier, or operator, found '\u200b'"
         )
+
+
+class TestLexicalScan:
+    """Tokens are made as the parser reads them; the bad-character scan runs in C."""
+
+    @staticmethod
+    def _scan_seconds(text: str) -> float:
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse(text)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    def test_megabyte_scans_in_linear_time(self):
+        # x+x+...+x then '$': the parser stops at byte 200, too deep, and
+        # the scan then reads every character to find the '$', which wins.
+        # Four times the text should take about four times as long; a
+        # quadratic scan would take sixteen.
+        small, large = ("x+" * 2**17 + "$", "x+" * 2**19 + "$")
+        assert len(large) > 2**20
+        with pytest.raises(ParseError) as excinfo:
+            parse(large)
+        assert excinfo.value.offset == len(large)
+        assert self._scan_seconds(large) < 8 * self._scan_seconds(small)
+
+    def test_scan_state_stays_bounded(self):
+        # The regex engine keeps about 200 bytes a token within one match,
+        # so the scan goes 2**10 tokens a match: 1 MB of tokens would
+        # otherwise hold some 200 MB.
+        text = "x+" * 2**19 + "$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_parser_reads_only_the_tokens_it_needs(self):
+        # A flat sum of a million x's is lexically fine, and the parser
+        # stops at the 101st x: far sooner than tokenizing it all.
+        text = "+".join(["x"] * 2**19)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as excinfo:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == "parse error at byte 200: expression nests deeper than 100 levels"
+        assert peak < 2**20
 
 
 # (kind, deepest accepted text, the text one level deeper, byte it is rejected at)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,14 +20,16 @@ from hypothesis import strategies as st
 
 from bernprim import (
     BernsteinPoly,
+    antiderivative_poly,
     basis_eval,
     bernstein_approximant,
     derivative_poly,
     difference_quotient,
     eval_poly,
+    poly_and_primitive_values,
     poly_values,
 )
-from bernprim.core import _WINDOW_BLOCK
+from bernprim.core import _WINDOW_BLOCK, _window_values
 
 
 def direct_sum(coeffs, x: float) -> float:
@@ -229,6 +232,114 @@ class TestWindowEvaluation:
         assert (values[0], values[-1]) == (constant, constant)
         assert np.all(values[1:-1] == 2.0 * (0.5 * constant))
         assert np.all(np.abs(values - constant) <= 5e-324)
+
+
+def _walked(degree: int, seed: int) -> tuple[BernsteinPoly, BernsteinPoly]:
+    """A random polynomial of the degree and its antiderivative."""
+    rng = np.random.default_rng(seed)
+    poly = BernsteinPoly(degree, tuple(rng.uniform(-1.0, 1.0, degree + 1)))
+    return poly, antiderivative_poly(poly)
+
+
+class TestPrimitiveFromOneWalk:
+    """poly_and_primitive_values: F_n from f_n's degree-n windows, one walk for both."""
+
+    # F_n = sum_{m<=n} C_m b_{m,n} + x f_n / (n+1).  Measured worst case
+    # 1.5 ulp of max|C| against poly_values(F_n) and 0.9 ulp against
+    # mpmath, over random, sin(3x) and sqrt(x) samples.
+    _ULPS = 4
+
+    @pytest.mark.parametrize("degree", [1, 2, 65, 1160, 100_000])
+    def test_first_row_is_poly_values_bit_for_bit(self, degree):
+        poly, _ = _walked(degree, degree)
+        xs = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 1e-9, 1.0 - 2.0**-53]])
+        values, _ = poly_and_primitive_values(poly, xs)
+        assert list(map(float.hex, values.tolist())) == list(map(float.hex, poly_values(poly, xs).tolist()))
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 50, 1000, 100_000])
+    def test_primitive_matches_direct_evaluation_and_mpmath(self, degree):
+        rng = np.random.default_rng(degree)
+        samples = (rng.uniform(-3.0, 3.0, degree + 1), np.sin(3.0 * np.arange(degree + 1) / degree))
+        for coeffs in samples:
+            poly = BernsteinPoly(degree, tuple(coeffs))
+            primitive = antiderivative_poly(poly)
+            bound = self._ULPS * 2.0**-52 * max(map(abs, primitive.coeffs))
+            xs = np.concatenate([rng.uniform(0.0, 1.0, 1001), [1e-6, 0.0173, 0.5, 0.77, 1.0 - 1e-6]])
+            _, values = poly_and_primitive_values(poly, xs)
+            assert np.max(np.abs(values - poly_values(primitive, xs))) <= bound
+            for x, value in zip(xs[-5:].tolist(), values[-5:].tolist()):
+                exact = mp_bernstein_sum(primitive.coeffs, x)
+                assert abs(value - float(exact)) <= bound, (degree, x)
+
+    @pytest.mark.parametrize("degree", [1, 2, 65, 100_000])
+    def test_endpoints_are_exact(self, degree):
+        poly, primitive = _walked(degree, degree + 2)
+        values, primitive_values = poly_and_primitive_values(poly, [0.0, 1.0, 0.0])
+        assert values.tolist() == [poly.coeffs[0], poly.coeffs[-1], poly.coeffs[0]]
+        assert primitive_values.tolist() == [0.0, primitive.coeffs[-1], 0.0]
+        assert math.copysign(1.0, primitive_values[0]) == 1.0
+
+    @pytest.mark.parametrize("degree", [1, 65, 1160, 8081, 100_000])
+    def test_bitwise_identical_across_block_boundaries(self, degree):
+        # A point's row values are those it gets alone, whatever block of
+        # _WINDOW_BLOCK weights it lands in.
+        poly, primitive = _walked(degree, degree + 3)
+        rows = (poly.coeffs, primitive.coeffs[:-1])
+        rng = np.random.default_rng(degree)
+        block = _WINDOW_BLOCK // (2 * (math.ceil(4.6 * math.sqrt(degree)) + 2) + 1)
+        for size in sorted({1, max(1, block - 1), block, block + 1, 1001}):
+            xs = rng.uniform(0.0, 1.0, size)
+            alone = np.hstack([_window_values(rows, np.array([x])) for x in xs.tolist()])
+            assert np.array(_window_values(rows, xs)).tolist() == alone.tolist(), size
+
+    @pytest.mark.parametrize("degree", [1000, 8081])
+    def test_block_temporaries_stay_within_the_block_size(self, degree):
+        # Windows for all points at once would take points * (2 half + 1)
+        # weights per temporary: 38 MB at degree 1000 and 107 MB at 8081
+        # for these 16001 points.  In blocks, the peak is the arrays of
+        # one entry per point or per index and a few block temporaries of
+        # at most _WINDOW_BLOCK weights (64 KB).
+        poly, _ = _walked(degree, degree)
+        xs = np.random.default_rng(degree).uniform(0.0, 1.0, 16001)
+        tracemalloc.start()
+        try:
+            poly_and_primitive_values(poly, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (16 * xs.size + 16 * (degree + 1) + 8 * _WINDOW_BLOCK)
+
+    @pytest.mark.parametrize("degree", [1, 2, 65, 101, 1160, 8081, 100_000])
+    def test_extreme_points_are_quiet_finite_and_bitwise_identical(self, degree):
+        poly, _ = _walked(degree, degree + 1)
+        xs = np.array([5e-324, 1e-300, 1e-9, 1.0 - 1e-9, 1.0 - 2.0**-53, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            together = np.stack(poly_and_primitive_values(poly, xs))
+            alone = [np.stack(poly_and_primitive_values(poly, [x]))[:, 0] for x in xs.tolist()]
+        assert together.T.tolist() == np.array(alone).tolist()
+        assert np.all(np.isfinite(together))
+
+    @pytest.mark.parametrize("constant", [1.0, 1.7e305, -1.7e305])
+    def test_large_constants_stay_finite(self, constant):
+        # F of a constant c is c x, and its prefix sums reach 1001 c; no
+        # step of the sum leaves float range.
+        poly = BernsteinPoly(1000, (constant,) * 1001)
+        xs = np.linspace(0.0, 1.0, 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, values = poly_and_primitive_values(poly, xs)
+        assert np.all(np.abs(values - constant * xs) <= self._ULPS * 2.0**-52 * abs(constant))
+
+    def test_validation(self):
+        poly = BernsteinPoly(1, (0.0, 1.0))
+        with pytest.raises(ValueError):
+            poly_and_primitive_values(poly, np.array([[0.0, 0.5]]))
+        for outside in ([0.0, 1.5], [-0.5, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                poly_and_primitive_values(poly, np.array(outside))
+        with pytest.raises(OverflowError, match="prefix sum 2 of degree 2"):
+            poly_and_primitive_values(BernsteinPoly(2, (1.7e308,) * 3), [0.5])
 
 
 class TestDerivativePoly:
