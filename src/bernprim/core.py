@@ -101,6 +101,19 @@ def _check_unit(x: float, name: str = "x") -> float:
     return x
 
 
+def _unit_grid(xs: Sequence[float]) -> np.ndarray:
+    """xs as a 1-D float array, checked to lie in [0, 1].
+
+    The first point outside, nan included, raises _check_unit's error.
+    """
+    grid = np.asarray(xs, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("xs must be one-dimensional")
+    if grid.size and not (grid.min() >= 0.0 and grid.max() <= 1.0):  # false for nan too
+        _check_unit(grid[(~((grid >= 0.0) & (grid <= 1.0))).argmax()])
+    return grid
+
+
 def _check_positive(value: float, name: str) -> float:
     value = float(value)
     if not value > 0.0 or not math.isfinite(value):
@@ -197,12 +210,7 @@ class RealFunction:
         otherwise one call per point, in order, so values equal
         [f(x) for x in xs] and fail as that loop first fails.
         """
-        grid = np.asarray(xs, dtype=float)
-        if grid.ndim != 1:
-            raise ValueError("xs must be one-dimensional")
-        outside = ~((grid >= 0.0) & (grid <= 1.0))
-        if outside.any():
-            _check_unit(grid[outside.argmax()])  # raises the per-point message
+        grid = _unit_grid(xs)
         values = None if self.batch is None else self.batch(grid)
         if values is not None:
             return values
@@ -472,11 +480,9 @@ def moment_sums(
     for first in range(0, len(ns), _MOMENT_CHUNK):
         chunk = slice(first, first + _MOMENT_CHUNK)
         n = np.asarray(ns[chunk], dtype=np.intp)
-        x = np.asarray(xs[chunk], dtype=float)
         if n.min() < 1:
             raise ValueError(f"n must be >= 1, got {n[(n < 1).argmax()]}")
-        if not (x.min() >= 0.0 and x.max() <= 1.0):  # false for nan too
-            _check_unit(x[(~((x >= 0.0) & (x <= 1.0))).argmax()])  # raises the per-point message
+        x = _unit_grid(xs[chunk])
         chunk_kinds = kinds[chunk]
         if not set(chunk_kinds) <= _MOMENT_KINDS:
             unknown = next(k for k in chunk_kinds if k not in _MOMENT_KINDS)
@@ -638,16 +644,6 @@ def eval_poly(p: BernsteinPoly, x: float) -> float:
     return float(_window_values((p.coeffs,), np.array([x]))[0][0])
 
 
-def _unit_grid(xs: Sequence[float]) -> np.ndarray:
-    """xs as a 1-D float array, checked to lie in [0, 1]."""
-    grid = np.asarray(xs, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("xs must be one-dimensional")
-    if grid.size and not (0.0 <= grid.min() and grid.max() <= 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    return grid
-
-
 def poly_values(p: BernsteinPoly, xs: Sequence[float]) -> np.ndarray:
     """Evaluate p at many points at once.
 
@@ -669,8 +665,7 @@ def poly_and_primitive_values(
     so F's values come from the same degree-n windows as p's: one walk of
     _window_values with the rows c and C_0..C_n.  F(0) is exactly 0 and
     F(1) is exactly C_{n+1}; inside, F agrees with poly_values(F, xs) to
-    within a few ulp of max |C|.  A prefix sum of p beyond float range
-    raises antiderivative_poly's OverflowError.
+    within a few ulp of max |C|.
     """
     grid = _unit_grid(xs)
     primitive = antiderivative_poly(p).coeffs
@@ -699,21 +694,15 @@ def antiderivative_poly(p: BernsteinPoly) -> BernsteinPoly:
     so derivative_poly hands back p's coefficients to rounding.  Every
     double is an integer multiple of the largest denominator among the
     coefficients' as_integer_ratio() values, a power of two, so the prefix
-    sums are exact integers and each is rounded once; a sum beyond float
-    range raises OverflowError naming its index.
+    sums are exact integers, and each quotient sum / (scale (n+1)) is an
+    int division, rounded once.  It is at most max |c| in size, so it
+    never overflows.
     """
     ratios = [c.as_integer_ratio() for c in p.coeffs]
     scale = max(den for _, den in ratios)
+    divisor = scale * (p.degree + 1)
     sums = accumulate((num * (scale // den) for num, den in ratios), initial=0)
-    coeffs = []
-    for j, s in enumerate(sums):
-        try:
-            coeffs.append(s / scale / (p.degree + 1))
-        except OverflowError:
-            raise OverflowError(
-                f"prefix sum {j} of degree {p.degree} is beyond float range"
-            ) from None
-    return BernsteinPoly(p.degree + 1, tuple(coeffs))
+    return BernsteinPoly(p.degree + 1, tuple(s / divisor for s in sums))
 
 
 def difference_quotient(p: BernsteinPoly, c: float) -> BernsteinPoly:

@@ -17,8 +17,10 @@ so does an expression nested deeper than 100 levels.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -164,12 +166,13 @@ def _tokens(text: str) -> Iterator[_Token]:
 
 # Deepest nesting parse() accepts, counting both the parser's own recursion
 # (parentheses, unary minus, ^ and calls) and the height of the tree, which
-# a chain such as x+x+...+x grows without any recursion.  _compile,
-# _compile_batch, to_text and tree equality walk the tree recursively, a
-# compiled tree calls one closure per level (an array-compiled one two),
-# and a nested call costs the parser four frames a level,
-# so this keeps every walk and every evaluation well inside Python's
-# default limit of 1000 frames.
+# a chain such as x+x+...+x grows without any recursion.  _evaluate,
+# _compile_batch, to_text and tree equality walk the tree recursively.
+# _evaluate spends one frame a level, or two at a call, whose arguments a
+# list comprehension evaluates in a frame of its own on Python 3.11; an
+# array-compiled tree calls two closures a level, and a nested call costs
+# the parser four frames a level.  So this keeps every walk and every
+# evaluation well inside Python's default limit of 1000 frames.
 _MAX_DEPTH = 100
 
 
@@ -348,106 +351,47 @@ def _fail(node: ExprAst, x: float, reason: str) -> EvaluationError:
     return EvaluationError(f"evaluation of '{to_text(node)}' failed at x={x!r}: {reason}")
 
 
-def _compile(node: ExprAst) -> Callable[[float], float]:
-    """The tree as nested closures: one call evaluates it at x.
+# Each operator and function on Python floats, as _ARRAY_OPS on arrays.
+_SCALAR_OPS: dict[str, Callable[..., float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+    **UNARY_FUNCTIONS,
+    **BINARY_FUNCTIONS,
+}
 
-    Each closure keeps the checks of its node, evaluates left before right,
-    and builds its failure message only when it fails.
+
+def _evaluate(node: ExprAst, x: float) -> float:
+    """The tree's value at x, by one recursive walk.
+
+    Children are evaluated left to right.  A zero divisor, a math error
+    and a non-finite value at a Binary or Call node fail that node, whose
+    message is built only then; constants, x and unary minus are not
+    checked.  Binary, the most common inner node, is tested first.
     """
-    isfinite = math.isfinite
-    if isinstance(node, Const):
-        value = node.value
-        return lambda x: value
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Unary):
-        operand = _compile(node.operand)
-        return lambda x: -operand(x)
     if isinstance(node, Binary):
-        left, right, op = _compile(node.left), _compile(node.right), node.op
-        if op == "+":
-
-            def binary(x: float) -> float:
-                value = left(x) + right(x)
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        elif op == "-":
-
-            def binary(x: float) -> float:
-                value = left(x) - right(x)
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        elif op == "*":
-
-            def binary(x: float) -> float:
-                value = left(x) * right(x)
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        elif op == "/":
-
-            def binary(x: float) -> float:
-                numerator = left(x)
-                denominator = right(x)
-                if denominator == 0.0:
-                    raise _fail(node, x, "division by zero")
-                value = numerator / denominator
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        else:
-            power = math.pow
-
-            def binary(x: float) -> float:
-                base = left(x)
-                exponent = right(x)
-                try:
-                    value = power(base, exponent)
-                except (ValueError, OverflowError) as exc:
-                    raise _fail(node, x, str(exc)) from exc
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        return binary
-    if isinstance(node, Call):
-        args = [_compile(arg) for arg in node.args]
-        fn = UNARY_FUNCTIONS.get(node.name) or BINARY_FUNCTIONS[node.name]
-        if len(args) == 1:
-            (arg,) = args
-
-            def call(x: float) -> float:
-                a = arg(x)
-                try:
-                    value = float(fn(a))
-                except (ValueError, OverflowError) as exc:
-                    raise _fail(node, x, str(exc)) from exc
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        else:
-            first, second = args
-
-            def call(x: float) -> float:
-                a = first(x)
-                b = second(x)
-                try:
-                    value = float(fn(a, b))
-                except (ValueError, OverflowError) as exc:
-                    raise _fail(node, x, str(exc)) from exc
-                if not isfinite(value):
-                    raise _fail(node, x, f"non-finite result {value!r}")
-                return value
-
-        return call
-    raise TypeError(f"not an expression node: {node!r}")
+        name, args = node.op, (_evaluate(node.left, x), _evaluate(node.right, x))
+        if name == "/" and args[1] == 0.0:
+            raise _fail(node, x, "division by zero")
+    elif isinstance(node, Const):
+        return node.value
+    elif isinstance(node, Var):
+        return x
+    elif isinstance(node, Unary):
+        return -_evaluate(node.operand, x)
+    elif isinstance(node, Call):
+        name, args = node.name, [_evaluate(arg, x) for arg in node.args]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    try:
+        value = _SCALAR_OPS[name](*args)
+    except (ValueError, OverflowError) as exc:
+        raise _fail(node, x, str(exc)) from exc
+    if not math.isfinite(value):
+        raise _fail(node, x, f"non-finite result {value!r}")
+    return value
 
 
 class _BatchFailed(Exception):
@@ -522,16 +466,16 @@ def _children(node: ExprAst) -> tuple[ExprAst, ...]:
 def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
     """The tree as nested array closures: one call evaluates it at every x of an array.
 
-    Each value is bit for bit the one _compile's closures give: numpy does
+    Each value is bit for bit the one _evaluate gives: numpy does
     + - * / and abs, which IEEE-754 rounds exactly as Python floats do,
     and the functions and ^ map the math module over the values, the same
     libm.  A subtree without x compiles to its value instead, a float,
-    which _compile's closures compute once, and numpy broadcasts it
-    against its siblings; if it fails there, it compiles to a closure that
-    fails every batch.
+    which _evaluate computes once, and numpy broadcasts it against its
+    siblings; if it fails there, it compiles to a closure that fails
+    every batch.
 
-    The batch raises _BatchFailed, or the libm error, exactly when the
-    scalar closures raise at some x of it: a zero divisor is checked at
+    The batch raises _BatchFailed, or the libm error, exactly when
+    _evaluate raises at some x of it: a zero divisor is checked at
     each division, and a non-finite value at the root and at each operand
     of a _MASKING node, which is as far as it can travel unchanged.  x
     itself, in [0, 1], needs no check.
@@ -544,7 +488,7 @@ def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
     parts = [_compile_batch(child) for child in children]
     if not any(map(callable, parts)):
         try:
-            return _compile(node)(0.0)
+            return _evaluate(node, 0.0)
         except EvaluationError:
             return _fails
     if isinstance(node, Unary):
@@ -595,19 +539,17 @@ def _batch_evaluator(node: ExprAst) -> Callable[[np.ndarray], np.ndarray | None]
 def eval_ast(node: ExprAst, x: float) -> float:
     """Evaluate the tree at x in [0, 1]; failures name the offending node.
 
-    The tree is compiled afresh at every call, which costs several times
-    the evaluation itself; to evaluate one tree at many points, compile it
-    once with to_real_function and call the result.
+    One walk of the tree; to evaluate it at many points, build
+    to_real_function once and pass the points to its values().
     """
-    x = _check_unit(x)
-    return _compile(node)(x)
+    return _evaluate(node, _check_unit(x))
 
 
 def to_real_function(node: ExprAst) -> RealFunction:
     """Wrap a parsed tree as a RealFunction, probing it on a uniform grid.
 
-    The tree is compiled once into scalar closures and once into array
-    closures, whose values are bit for bit the same; RealFunction checks
-    the domain of each call and each batch.
+    A call walks the tree at one point; a batch runs the tree compiled
+    into array closures, whose values are bit for bit the walk's.
+    RealFunction checks the domain of each call and each batch.
     """
-    return RealFunction(evaluator=_compile(node), batch=_batch_evaluator(node))
+    return RealFunction(evaluator=partial(_evaluate, node), batch=_batch_evaluator(node))

@@ -105,9 +105,10 @@ def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> lis
     each correctly rounded as in simpson, summed by one math.fsum and
     scaled by (h / 3.0).  A row at 0 is 0.0 and hands f no node.  Rows
     go to f in order, in blocks of at most _BLOCK_NODES nodes (one row if
-    a row is larger).  A block that fails, in f or in a sum, is redone
-    one row at a time, f then the sum, so the error raised is the one the
-    loop over simpson meets first.
+    a row is larger).  A block of several rows that fails, in f or in a
+    sum, is redone one row at a time, f then the sum, so the error raised
+    is the one the loop over simpson meets first; a one-row block's error
+    is that already.
     """
     uppers = [_check_upper(upper) for upper in uppers]
     _check_panels(panels)
@@ -133,6 +134,8 @@ def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> lis
         try:
             fill(block)
         except Exception:
+            if len(block) == 1:
+                raise
             for j in block:
                 fill([j])
     return results

@@ -5,12 +5,15 @@ and byte-frozen golden outputs for every subcommand.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -127,21 +130,30 @@ class TestExitCodes:
         assert err.startswith("parse error at byte ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,field",
         [
-            ["primitive", "--expr", "1.7e308", "--n", "2", "--samples", "3"],
-            ["converge", "--expr", "1e308", "--degrees", "2,4", "--grid", "3", "--panels", "2"],
+            (["primitive", "--expr", "1.7e308", "--n", "2", "--samples", "3"], "table[1][2]"),
+            (["converge", "--expr", "1e308", "--degrees", "2,4", "--grid", "3", "--panels", "2"], "table[0][2]"),
         ],
     )
-    def test_overflowing_prefix_sum_is_three(self, capsys, argv):
-        # Every sample is finite, but the antiderivative's prefix sums
-        # leave float range.
+    def test_overflowing_prefix_sum_is_three(self, capsys, argv, field):
+        # The antiderivative's prefix sums leave float range, but each of
+        # its coefficients is finite; the Simpson oracle's weight 4 times f
+        # overflows, and the report check names the field it reaches.
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("numeric failure: prefix sum ")
-        assert "is beyond float range" in err
-        assert "Traceback" not in err
+        assert err == f"numeric failure: report field {field} is inf\n"
+
+    def test_prefix_sums_beyond_float_range_give_finite_coefficients(self, capsys):
+        # The prefix sums of 1001 samples 1e307 reach 1.001e310, yet each
+        # coefficient of F_n = 1e307 x, a prefix sum over n + 1, is rounded once.
+        argv = ["primitive", "--expr", "1e307", "--n", "1000", "--samples", "3", "--panels", "2"]
+        coeffs = run_json(capsys, argv)["poly"]["coeffs"]
+        assert coeffs == [float(Fraction(j) * Fraction(1e307) / 1001) for j in range(1002)]
+        argv = ["converge", "--expr", "1e307", "--degrees", "1000", "--grid", "3", "--panels", "2"]
+        [[_, error_fn, error_Fn]] = run_json(capsys, argv)["table"]
+        assert error_fn == 0.0 and error_Fn <= 4 * math.ulp(1e307)
 
     @pytest.mark.parametrize(
         "argv",
@@ -362,6 +374,21 @@ class TestWork:
         assert sum(sizes) == 257 + 5 + rows * (int(panels) + 1) + int(samples)
         assert max(sizes) <= bound
 
+    def test_failing_row_is_replayed_once(self, capsys, monkeypatch):
+        # The row at 0.3 is a block of its own, and its batch fails at its
+        # last node: one replay, point by point, of its 100001 nodes.
+        points = []
+        real_function = cli.to_real_function
+
+        def counted(tree):
+            f = real_function(tree)
+            return bernprim.RealFunction(lambda x: points.append(x) or f.evaluator(x), batch=f.batch)
+
+        monkeypatch.setattr(cli, "to_real_function", counted)
+        argv = ["converge", "--expr", "1/(x - 0.3)", "--degrees", "4", "--grid", "11", "--panels", "100000"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3 and err.startswith("numeric failure: evaluation of '1.0 / (x - 0.3)'")
+        assert len(points) == 100001
 
     def test_basis_blocks_stay_under_the_bound_at_the_grid_cap(self, capsys, monkeypatch):
         sizes = []
@@ -388,7 +415,7 @@ class TestBatchFailures:
 
     @staticmethod
     def scalar_only(tree):
-        return bernprim.RealFunction(bernprim.expr._compile(tree))
+        return bernprim.RealFunction(functools.partial(bernprim.expr._evaluate, tree))
 
     @staticmethod
     def simpson_loop(values, uppers, panels):
@@ -723,7 +750,7 @@ _DEEP = [
     "+".join(["x"] * 990),
 ]
 _UNDEFINED = ["log(x)", "1/(x - 0.5)"]  # not finite somewhere on [0, 1]: exit 3
-_HUGE = "1.7e308"  # finite, but primitive's and converge's prefix sums overflow: exit 3
+_HUGE = "1.7e308"  # finite, and so is F_n, but the Simpson oracle's 4 * f overflows: exit 3
 _LARGE = "5e307"  # finite, but the Simpson oracle's 4 * f overflows: exit 3
 _WAVE = "1.7e308*sin(30*x)"  # finite, but 4 * f overflows to both signs in one row: exit 3
 _EXPRS = ["x^2", "abs(x - 0.5)", "sin(3*x)", "1e-320", _HUGE, _LARGE, _WAVE, *_UNDEFINED]

@@ -9,9 +9,11 @@ the messages are part of the interface.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from bernprim import (
     to_text,
 )
 from bernprim.core import _PROBE_GRID
-from bernprim.expr import Binary, Call, Const, Unary, Var, _batch_evaluator, _compile
+from bernprim.expr import Binary, Call, Const, Unary, Var, _batch_evaluator, _evaluate
 from corpus import CORPUS
 
 EVAL_CASES = [
@@ -361,14 +363,22 @@ class TestLexicalScan:
         assert peak < 2**20
 
 
-# (kind, deepest accepted text, the text one level deeper, byte it is rejected at)
+# (kind, deepest accepted text, the text one level deeper, byte it is rejected at,
+#  the subexpression that fails at every x, or None)
 DEPTH_CASES = [
-    ("parentheses", "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, 101),
-    ("unary-minus", "-" * 99 + "x", "-" * 100 + "x", 1),
-    ("power", "^".join(["x"] * 100), "^".join(["x"] * 101), 2),
-    ("sin-calls", "sin(" * 99 + "x" + ")" * 99, "sin(" * 100 + "x" + ")" * 100, 1),
-    ("min-calls", "min(" * 99 + "x" + ", x)" * 99, "min(" * 100 + "x" + ", x)" * 100, 1),
-    ("flat-sum", "+".join(["x"] * 100), "+".join(["x"] * 101), 200),
+    ("parentheses", "(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, 101, None),
+    ("unary-minus", "-" * 99 + "x", "-" * 100 + "x", 1, None),
+    ("power", "^".join(["x"] * 100), "^".join(["x"] * 101), 2, None),
+    ("sin-calls", "sin(" * 99 + "x" + ")" * 99, "sin(" * 100 + "x" + ")" * 100, 1, None),
+    ("min-calls", "min(" * 99 + "x" + ", x)" * 99, "min(" * 100 + "x" + ", x)" * 100, 1, None),
+    ("flat-sum", "+".join(["x"] * 100), "+".join(["x"] * 101), 200, None),
+    (
+        "failing-min-calls",
+        "min(" * 97 + "log(x - 1)" + ", x)" * 97,
+        "min(" * 98 + "log(x - 1)" + ", x)" * 98,
+        1,
+        "log(x - 1.0)",
+    ),
 ]
 
 
@@ -383,20 +393,29 @@ class TestDepthLimit:
     """Both sides of the 100-level limit, with 650 frames to spare.
 
     A nested call costs the parser four frames a level; a parser that spent
-    seven or more would fail the accepted side.
+    seven or more would fail the accepted side.  A node that fails at the
+    bottom of the deepest tree raises its EvaluationError, not a
+    RecursionError, through the whole depth.
     """
 
     @pytest.mark.parametrize(
-        "kind,deepest,deeper,offset", DEPTH_CASES, ids=[case[0] for case in DEPTH_CASES]
+        "kind,deepest,deeper,offset,failing", DEPTH_CASES, ids=[case[0] for case in DEPTH_CASES]
     )
-    def test_deepest_accepted_and_one_more(self, kind, deepest, deeper, offset):
+    def test_deepest_accepted_and_one_more(self, kind, deepest, deeper, offset, failing):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_stack_depth() + 650)
         try:
             tree = parse(deepest)
             assert parse(to_text(tree)) == tree
-            assert math.isfinite(eval_ast(tree, 0.5))
-            assert to_real_function(tree).values([0.5])[0] == eval_ast(tree, 0.5)
+            if failing is None:
+                assert math.isfinite(eval_ast(tree, 0.5))
+                assert to_real_function(tree).values([0.5])[0] == eval_ast(tree, 0.5)
+            else:
+                message = f"evaluation of '{failing}' failed at x="
+                with pytest.raises(EvaluationError, match=re.escape(message + "0.5:")):
+                    eval_ast(tree, 0.5)
+                with pytest.raises(EvaluationError, match=re.escape(message + "0.0:")):
+                    to_real_function(tree)
             with pytest.raises(ParseError) as excinfo:
                 parse(deeper)
         finally:
@@ -517,21 +536,20 @@ _POINTS = st.lists(
 
 
 def _scalar_hexes(tree, xs):
-    """float.hex of the scalar closures' value at each x, or None if any call raises or is not finite."""
-    scalar = _compile(tree)
+    """float.hex of the walk's value at each x, or None if any call raises or is not finite."""
     try:
-        values = [float(scalar(x)) for x in xs]
+        values = [float(_evaluate(tree, x)) for x in xs]
     except EvaluationError:
         return None
     return [v.hex() for v in values] if all(map(math.isfinite, values)) else None
 
 
 class TestBatchEvaluation:
-    """The array closures against the scalar ones, bit for bit."""
+    """The array closures against the scalar walk, bit for bit."""
 
     @given(tree=_ast_trees(_BATCH_CONSTANTS, max_leaves=12), xs=_POINTS)
     @settings(max_examples=500, deadline=None)
-    def test_batch_equals_scalar_closures(self, tree, xs):
+    def test_batch_equals_scalar_walk(self, tree, xs):
         expected = _scalar_hexes(tree, xs)
         values = _batch_evaluator(tree)(np.array(xs))
         if expected is None:
@@ -597,7 +615,7 @@ class TestBatchEvaluation:
         tree = parse(text)
         assert _batch_evaluator(tree)(_PROBE_GRID) is None
         with pytest.raises(EvaluationError) as scalar:
-            RealFunction(_compile(tree))
+            RealFunction(partial(_evaluate, tree))
         with pytest.raises(EvaluationError) as batched:
             to_real_function(tree)
         assert str(batched.value) == str(scalar.value)
