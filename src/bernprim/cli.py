@@ -159,13 +159,13 @@ def cmd_primitive(args: argparse.Namespace) -> dict:
     f = to_real_function(parse(args.expr))
     fn_primitive = primitive_approximant(f, args.n)
     xs, oracle, fx = _tabulate(args.samples, f, args.panels)
-    values = poly_values(fn_primitive, xs).tolist()
-    rows = [[x, v, o, abs(v - o)] for x, v, o in zip(xs, values, oracle)]
-    max_error = max(row[3] for row in rows)
     h = args.fd_h
     inner = [i for i, x in enumerate(xs) if x - h >= 0.0 and x + h <= 1.0]
     stencil = [t for i in inner for t in (xs[i] + h, xs[i] - h)]
-    at = dict(zip(stencil, poly_values(fn_primitive, stencil).tolist()))
+    values = poly_values(fn_primitive, xs + stencil).tolist()
+    rows = [[x, v, o, abs(v - o)] for x, v, o in zip(xs, values, oracle)]
+    max_error = max(row[3] for row in rows)
+    at = dict(zip(stencil, values[len(xs) :]))
     deriv_residuals = [abs(central_difference(at.__getitem__, xs[i], h) - fx[i]) for i in inner]
     params = {
         "n": args.n,

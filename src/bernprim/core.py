@@ -161,6 +161,23 @@ class BernsteinPoly:
         return cls(int(data["degree"]), tuple(float(c) for c in data["coeffs"]))
 
 
+def _first_failure(batch: Callable[[np.ndarray], np.ndarray | None], grid: np.ndarray) -> int:
+    """The index of the first point of grid where batch fails, or the last index if none.
+
+    A batch fails exactly when it fails at some point of it, so batches of
+    1, 2, 4, ... points find the first failing stretch, and halves of it
+    the point: one batch for point 0, about 2 log2(k) for point k.
+    """
+    start, size = 0, 1
+    while start < grid.size and batch(grid[start : start + size]) is not None:
+        start, size = start + size, 2 * size
+    while size > 1 and start < grid.size:  # the first failure is in grid[start : start + size]
+        size //= 2
+        if batch(grid[start : start + size]) is not None:
+            start += size
+    return min(start, grid.size - 1)  # every point before it passed a batch
+
+
 @dataclass(frozen=True)
 class RealFunction:
     """A real-valued function on [0, 1].
@@ -172,10 +189,10 @@ class RealFunction:
     An optional batch evaluator takes a 1-D array of points and returns
     the evaluator's values at all of them, bit for bit, or None when the
     evaluator would raise or give a non-finite value at any of them.
-    values() and the probe use it, and rerun point by point a batch that
-    gives up, so every error is the one the first failing call raises.
-    The batch is trusted, never compared with the evaluator; it is
-    keyword-only, and expr.to_real_function is what supplies it.
+    values() and the probe use it, and call the evaluator alone where a
+    batch that gives up first fails, so every error is the one the first
+    failing call raises.  The batch is trusted, never compared with the
+    evaluator; it is keyword-only, and expr.to_real_function supplies it.
     """
 
     evaluator: Callable[[float], float]
@@ -186,7 +203,8 @@ class RealFunction:
     def __post_init__(self) -> None:
         if self.batch is not None and self.batch(_PROBE_GRID) is not None:
             return
-        for x in _PROBE_GRID.tolist():
+        start = 0 if self.batch is None else _first_failure(self.batch, _PROBE_GRID)
+        for x in _PROBE_GRID[start:].tolist():
             try:
                 value = float(self.evaluator(x))
             except (EvaluationError, ArithmeticError, ValueError) as exc:
@@ -206,14 +224,16 @@ class RealFunction:
     def values(self, xs: Sequence[float]) -> np.ndarray:
         """The function at each of xs, which are checked against [0, 1] once.
 
-        One batch when there is a batch evaluator and it succeeds;
-        otherwise one call per point, in order, so values equal
-        [f(x) for x in xs] and fail as that loop first fails.
+        One batch when there is a batch evaluator and it succeeds, or one
+        call where it first fails; otherwise one call per point, in order.
+        So values equal [f(x) for x in xs] and fail as that loop first fails.
         """
         grid = _unit_grid(xs)
         values = None if self.batch is None else self.batch(grid)
         if values is not None:
             return values
+        if self.batch is not None:  # a call where the batch first fails raises, as the loop would
+            self(grid[_first_failure(self.batch, grid)].item())
         return np.array([self(x) for x in grid.tolist()], dtype=float)
 
 

@@ -167,12 +167,12 @@ def _tokens(text: str) -> Iterator[_Token]:
 # Deepest nesting parse() accepts, counting both the parser's own recursion
 # (parentheses, unary minus, ^ and calls) and the height of the tree, which
 # a chain such as x+x+...+x grows without any recursion.  _evaluate,
-# _compile_batch, to_text and tree equality walk the tree recursively.
-# _evaluate spends one frame a level, or two at a call, whose arguments a
-# list comprehension evaluates in a frame of its own on Python 3.11; an
-# array-compiled tree calls two closures a level, and a nested call costs
-# the parser four frames a level.  So this keeps every walk and every
-# evaluation well inside Python's default limit of 1000 frames.
+# to_text and tree equality walk the tree recursively.  _evaluate spends
+# one frame a level, at a point or on an array alike, or two at a call,
+# whose arguments a list comprehension evaluates in a frame of its own on
+# Python 3.11; a nested call costs the parser four frames a level.  So
+# this keeps every walk and every evaluation well inside Python's default
+# limit of 1000 frames.
 _MAX_DEPTH = 100
 
 
@@ -347,7 +347,9 @@ def to_text(node: ExprAst) -> str:
 # Evaluation
 
 
-def _fail(node: ExprAst, x: float, reason: str) -> EvaluationError:
+def _fail(node: ExprAst, x: float | np.ndarray, reason: str) -> Exception:
+    if isinstance(x, np.ndarray):  # a subtree without x failed a batch, which reads no message
+        return _BatchFailed()
     return EvaluationError(f"evaluation of '{to_text(node)}' failed at x={x!r}: {reason}")
 
 
@@ -363,18 +365,19 @@ _SCALAR_OPS: dict[str, Callable[..., float]] = {
 }
 
 
-def _evaluate(node: ExprAst, x: float) -> float:
-    """The tree's value at x, by one recursive walk.
+def _evaluate(node: ExprAst, x: float | np.ndarray) -> float | np.ndarray:
+    """The tree's value at x, a point or a 1-D array of points, by one recursive walk.
 
-    Children are evaluated left to right.  A zero divisor, a math error
-    and a non-finite value at a Binary or Call node fail that node, whose
+    Children are evaluated left to right.  A node whose operands are all
+    floats runs _SCALAR_OPS: a zero divisor, a math error and a
+    non-finite value at a Binary or Call node fail that node, whose
     message is built only then; constants, x and unary minus are not
-    checked.  Binary, the most common inner node, is tested first.
+    checked.  That is every node at a point and every subtree without x
+    in a batch; the others run _ARRAY_OPS, as _batch_evaluator says.
+    Binary, the most common inner node, is tested first.
     """
     if isinstance(node, Binary):
         name, args = node.op, (_evaluate(node.left, x), _evaluate(node.right, x))
-        if name == "/" and args[1] == 0.0:
-            raise _fail(node, x, "division by zero")
     elif isinstance(node, Const):
         return node.value
     elif isinstance(node, Var):
@@ -385,6 +388,15 @@ def _evaluate(node: ExprAst, x: float) -> float:
         name, args = node.name, [_evaluate(arg, x) for arg in node.args]
     else:
         raise TypeError(f"not an expression node: {node!r}")
+    # At a point x is a float, and so is every operand: one test, not two.
+    if x.__class__ is not float and (
+        isinstance(args[0], np.ndarray) or isinstance(args[-1], np.ndarray)
+    ):
+        if name in _MASKING:
+            args = [_finite(a) if isinstance(a, np.ndarray) and a is not x else a for a in args]
+        return _ARRAY_OPS[name](*args)
+    if name == "/" and args[1] == 0.0:
+        raise _fail(node, x, "division by zero")
     try:
         value = _SCALAR_OPS[name](*args)
     except (ValueError, OverflowError) as exc:
@@ -395,15 +407,10 @@ def _evaluate(node: ExprAst, x: float) -> float:
 
 
 class _BatchFailed(Exception):
-    """A node failed at some point of a batch, which is then rerun point by point."""
+    """A node failed at some point of a batch; RealFunction then finds the first such point."""
 
 
-_ArrayClosure = Callable[[np.ndarray], np.ndarray]
 _Operand = Union[np.ndarray, float]  # an operand without x is its value
-
-
-def _fails(xs: np.ndarray) -> np.ndarray:
-    raise _BatchFailed
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -432,9 +439,11 @@ def _mapped(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda a: np.fromiter(map(fn, memoryview(a)), float, a.size)
 
 
-# Each operator and function on arrays.  min and max keep Python's rule,
-# the first argument unless the second is strictly smaller (larger), so
-# they agree on ties and on -0.0 against 0.0.
+# Each operator and function on arrays, bit for bit as _SCALAR_OPS: numpy
+# does + - * / and abs, which IEEE-754 rounds as it does Python floats, and
+# the functions and ^ map the math module over the values.  min and max
+# keep Python's rule, the first argument unless the second is strictly
+# smaller (larger), so they agree on ties and on -0.0 against 0.0.
 _ARRAY_OPS: dict[str, Callable[..., np.ndarray]] = {
     "+": np.add,
     "-": np.subtract,
@@ -453,83 +462,24 @@ _ARRAY_OPS: dict[str, Callable[..., np.ndarray]] = {
 _MASKING = {"/", "^", "exp", "min", "max"}
 
 
-def _children(node: ExprAst) -> tuple[ExprAst, ...]:
-    if isinstance(node, Unary):
-        return (node.operand,)
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        return node.args
-    return ()
-
-
-def _compile_batch(node: ExprAst) -> _ArrayClosure | float:
-    """The tree as nested array closures: one call evaluates it at every x of an array.
-
-    Each value is bit for bit the one _evaluate gives: numpy does
-    + - * / and abs, which IEEE-754 rounds exactly as Python floats do,
-    and the functions and ^ map the math module over the values, the same
-    libm.  A subtree without x compiles to its value instead, a float,
-    which _evaluate computes once, and numpy broadcasts it against its
-    siblings; if it fails there, it compiles to a closure that fails
-    every batch.
-
-    The batch raises _BatchFailed, or the libm error, exactly when
-    _evaluate raises at some x of it: a zero divisor is checked at
-    each division, and a non-finite value at the root and at each operand
-    of a _MASKING node, which is as far as it can travel unchanged.  x
-    itself, in [0, 1], needs no check.
-    """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return lambda xs: xs
-    children = _children(node)
-    parts = [_compile_batch(child) for child in children]
-    if not any(map(callable, parts)):
-        try:
-            return _evaluate(node, 0.0)
-        except EvaluationError:
-            return _fails
-    if isinstance(node, Unary):
-        (operand,) = parts
-        return lambda xs: -operand(xs)
-    name = node.op if isinstance(node, Binary) else node.name
-    operands = []
-    for child, part in zip(children, parts):
-        if not callable(part):
-            operands.append(lambda xs, value=part: value)
-        elif name in _MASKING and not isinstance(child, Var):
-            operands.append(lambda xs, part=part: _finite(part(xs)))
-        else:
-            operands.append(part)
-    apply = _ARRAY_OPS[name]
-    if len(operands) == 1:
-        (a,) = operands
-        return lambda xs: apply(a(xs))
-    a, b = operands
-    return lambda xs: apply(a(xs), b(xs))
-
-
 def _batch_evaluator(node: ExprAst) -> Callable[[np.ndarray], np.ndarray | None]:
     """The tree's values at a 1-D array of points, or None if any node fails at any of them.
 
-    A non-finite value at the root counts as a failure, a constant root
-    too, so every value returned is finite.  numpy's floating-point
-    warnings are silenced: a failure is found by the checks, and the
-    caller reruns the points one by one to report it.
+    The walk on the array raises _BatchFailed, or the libm error, exactly
+    when it raises at some point of it: a zero divisor is checked at each
+    division, and a non-finite value at the root and at each operand of a
+    _MASKING node, which is as far as it can travel unchanged; x itself,
+    in [0, 1], needs no check.  So every value returned is finite, and
+    bit for bit the walk's at its point.  numpy's warnings are silenced.
     """
-    compiled = _compile_batch(node)
-    if isinstance(node, Var):
-        compiled = np.copy  # a fresh array, not the caller's
-    else:
-        tree = compiled if callable(compiled) else lambda xs, value=compiled: np.full(xs.shape, value)
-        compiled = lambda xs: _finite(tree(xs))  # noqa: E731
 
     def batch(xs: np.ndarray) -> np.ndarray | None:
         with np.errstate(all="ignore"):
             try:
-                return compiled(xs)
+                values = _evaluate(node, xs)
+                if values is xs or not isinstance(values, np.ndarray):  # the root x, or no x
+                    values = np.full(xs.shape, values)
+                return _finite(values)
             except (_BatchFailed, ValueError, OverflowError):
                 return None
 
@@ -548,8 +498,8 @@ def eval_ast(node: ExprAst, x: float) -> float:
 def to_real_function(node: ExprAst) -> RealFunction:
     """Wrap a parsed tree as a RealFunction, probing it on a uniform grid.
 
-    A call walks the tree at one point; a batch runs the tree compiled
-    into array closures, whose values are bit for bit the walk's.
+    A call walks the tree at one point, and a batch walks it once on an
+    array of points, whose values are bit for bit the calls'.
     RealFunction checks the domain of each call and each batch.
     """
     return RealFunction(evaluator=partial(_evaluate, node), batch=_batch_evaluator(node))

@@ -374,9 +374,10 @@ class TestWork:
         assert sum(sizes) == 257 + 5 + rows * (int(panels) + 1) + int(samples)
         assert max(sizes) <= bound
 
-    def test_failing_row_is_replayed_once(self, capsys, monkeypatch):
+    def test_failing_row_calls_f_once(self, capsys, monkeypatch):
         # The row at 0.3 is a block of its own, and its batch fails at its
-        # last node: one replay, point by point, of its 100001 nodes.
+        # last node: batches of its stretches find that node, and f is
+        # called there alone.
         points = []
         real_function = cli.to_real_function
 
@@ -388,7 +389,7 @@ class TestWork:
         argv = ["converge", "--expr", "1/(x - 0.3)", "--degrees", "4", "--grid", "11", "--panels", "100000"]
         code, _, err = run_cli(capsys, argv)
         assert code == 3 and err.startswith("numeric failure: evaluation of '1.0 / (x - 0.3)'")
-        assert len(points) == 100001
+        assert points == [0.3]
 
     def test_basis_blocks_stay_under_the_bound_at_the_grid_cap(self, capsys, monkeypatch):
         sizes = []
@@ -411,7 +412,7 @@ PROBE_FAILURES = ["log(x)", "1/(x - 0.5)", "sqrt(x - 1)", "exp(800*x)", "1e400"]
 
 
 class TestBatchFailures:
-    """A failing batch is rerun point by point, so stderr is the scalar path's."""
+    """A failing batch calls f alone at its first failing point, so stderr is the scalar path's."""
 
     @staticmethod
     def scalar_only(tree):

@@ -545,7 +545,7 @@ def _scalar_hexes(tree, xs):
 
 
 class TestBatchEvaluation:
-    """The array closures against the scalar walk, bit for bit."""
+    """The walk on an array of points against the walk at each point, bit for bit."""
 
     @given(tree=_ast_trees(_BATCH_CONSTANTS, max_leaves=12), xs=_POINTS)
     @settings(max_examples=500, deadline=None)
@@ -619,6 +619,27 @@ class TestBatchEvaluation:
         with pytest.raises(EvaluationError) as batched:
             to_real_function(tree)
         assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("first", [0, 1, 40000, 2**16 - 2])
+    def test_first_failing_point_costs_one_call(self, first):
+        # 2**16 points (i + 1) / 2**17 and a pole at the first-th: odd
+        # numerators, so no pole is a probe point i/256.
+        xs = (np.arange(2**16) + 1) / 2**17
+        pole = xs[first].item()
+        f = to_real_function(parse(f"1/(x - {pole!r})"))
+        calls, batches = [], []
+        counted = RealFunction(
+            lambda x: calls.append(x) or f.evaluator(x),
+            batch=lambda points: batches.append(points.size) or f.batch(points),
+        )
+        batches.clear()  # the probe's batch
+        with pytest.raises(EvaluationError) as batched:
+            counted.values(xs)
+        assert calls == [pole]
+        assert len(batches) <= (2 if first == 0 else 2 * 16 + 2)
+        with pytest.raises(EvaluationError) as loop:
+            RealFunction(f.evaluator).values(xs)
+        assert str(batched.value) == str(loop.value)
 
     def test_values_check_the_domain_once(self):
         f = to_real_function(parse("x^2"))
