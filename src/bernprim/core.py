@@ -12,6 +12,7 @@ no function here mutates its arguments or keeps hidden state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, Literal, Sequence, Union
@@ -67,19 +68,15 @@ _STIRLERR = (
     0.0052076559196096404,
 )
 
-# _basis_blocks walks its draws in blocks of at most this many padded
-# weights: 64 KB arrays, which stay under glibc's 128 KB mmap threshold
-# (blocks of 15 * 2**10 weights already cost hundreds of page faults per
-# call), and on a 2-CPU x86 host ran faster than blocks of 2**12.
+# _basis_blocks and _window_values walk in blocks of at most this many
+# (padded) weights: 64 KB arrays, under glibc's 128 KB mmap threshold (blocks
+# of 15 * 2**10 weights already cost hundreds of page faults per call); on a
+# 2-CPU x86 host they ran faster than blocks of 2**12.
 _BASIS_BLOCK = 2**13
 
 # moment_sums hands _basis_blocks this many draws at a time, so its
 # bookkeeping stays small at any grid.
 _MOMENT_CHUNK = 2**12
-
-# _window_values takes its points in blocks of at most this many window
-# weights, so each temporary stays at 64 KB whatever the grid size.
-_WINDOW_BLOCK = 2**13
 
 # RealFunction probes its evaluator at i/256, i = 0..256, when it is built:
 # a dyadic grid, so it lands exactly on poles such as 0.25 or 0.5.
@@ -114,6 +111,25 @@ def _unit_grid(xs: Sequence[float]) -> np.ndarray:
     return grid
 
 
+def _check_count(value, name: str, least: int | None = None):
+    """value as an int, or a numpy array as an intp array; the first value below least raises.
+
+    TypeError for non-integers, as in math.comb (2.5, 2.0, "7"), and non-empty non-integer arrays.
+    """
+    try:
+        value = first = operator.index(value)
+    except TypeError:
+        if not isinstance(value, np.ndarray):
+            raise
+        if value.size and value.dtype.kind not in "iu":
+            raise TypeError(f"{name} must have an integer dtype, got {value.dtype}") from None
+        value = value.astype(np.intp, copy=False)
+        first = value[(value < least).argmax()] if value.size else least
+    if least is not None and first < least:
+        raise ValueError(f"{name} must be >= {least}, got {first}")
+    return value
+
+
 def _check_positive(value: float, name: str) -> float:
     value = float(value)
     if not value > 0.0 or not math.isfinite(value):
@@ -137,8 +153,7 @@ class BernsteinPoly:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        object.__setattr__(self, "degree", _check_count(self.degree, "degree", 0))
         coeffs = tuple(map(float, self.coeffs))
         if len(coeffs) != self.degree + 1:
             raise ValueError(
@@ -158,7 +173,7 @@ class BernsteinPoly:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BernsteinPoly":
-        return cls(int(data["degree"]), tuple(float(c) for c in data["coeffs"]))
+        return cls(data["degree"], data["coeffs"])
 
 
 def _first_failure(batch: Callable[[np.ndarray], np.ndarray | None], grid: np.ndarray) -> int:
@@ -262,8 +277,7 @@ def binomial_convention(n: int, m: int) -> int:
     Exact integer arithmetic, so no overflow at any degree; callers that
     need a basis weight in float range should use basis_eval instead.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n, m = _check_count(n, "n", 0), _check_count(m, "m")
     if m < 0 or m > n:
         return 0
     return math.comb(n, m)
@@ -318,8 +332,7 @@ def basis_eval(m: int, n: int, x: float) -> float:
     (C. Loader, "Fast and accurate computation of binomial
     probabilities", 2000.)
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n, m = _check_count(n, "n", 0), _check_count(m, "m")
     x = _check_unit(x)
     if m < 0 or m > n:
         return 0.0
@@ -348,9 +361,7 @@ def basis_eval(m: int, n: int, x: float) -> float:
 
 def basis_all(n: int, x: float) -> np.ndarray:
     """All n+1 basis values at x in one O(n) pass (see _basis_blocks)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    x = _check_unit(x)
+    n, x = _check_count(n, "n", 0), _check_unit(x)
     _, start, _, w, _ = next(_basis_blocks(np.array([n]), np.array([x]), np.array([n])))
     return w[0, start[0] :]
 
@@ -384,10 +395,10 @@ def _basis_blocks(
     Row r of a block is draw index[r]: w[r, start[r]:stop[r]] is its row,
     and m, of w's shape, holds the index m of each weight.  The endpoint
     draws come first, then the inner ones from the largest n down, in
-    runs that keep each block within _BASIS_BLOCK padded weights (a row
-    wider than that is a block of its own); half must not decrease with
-    n.  A row's arithmetic is its own, so its values do not depend on the
-    draws it shares a block with.
+    runs that keep each block within _BASIS_BLOCK padded weights, the
+    budget _window_values shares (a wider row is a block of its own);
+    half must not decrease with n.  A row's arithmetic is its own, so
+    its values do not depend on the draws it shares a block with.
     """
     inner = (x > 0.0) & (x < 1.0)
     # Endpoints first, then n from the largest down.  sorted() is stable,
@@ -407,7 +418,7 @@ def _basis_blocks(
     )
     widest = int(half.max(initial=0))
     offsets = np.arange(-widest, widest + 1, dtype=float)
-    lowest, modes = modes.tolist(), modes[:, None].astype(float)
+    modes = modes[:, None].astype(float)
     order, half = order.tolist(), half.tolist()
     start = 0
     while start < len(order):
@@ -422,7 +433,7 @@ def _basis_blocks(
             w[:, most_below] = 1.0
         else:
             columns = [column[start - ends : stop - ends] for column in walks]
-            w = _basis_block(*columns, m, most_below, min(lowest[run]) < most_below)
+            w = _basis_block(*columns, m, most_below)
         starts = [most_below - b for b in below[run]]
         yield order[run], starts, [most_below + a + 1 for a in above[run]], w, m
         del m, w  # so that the next block is built while only its own arrays are alive
@@ -430,7 +441,7 @@ def _basis_blocks(
 
 
 def _basis_block(
-    n: np.ndarray, odds: np.ndarray, scales: np.ndarray, m: np.ndarray, below: int, reaches_0: bool
+    n: np.ndarray, odds: np.ndarray, scales: np.ndarray, m: np.ndarray, below: int
 ) -> np.ndarray:
     """Rows of basis values at the indices m, whose column `below` is each row's mode.
 
@@ -441,15 +452,12 @@ def _basis_block(
     rows, outward from 1.0 at the mode column, and each row is then
     multiplied by its scale.  Past a row's own window a walk runs on
     harmlessly: its step at m = n is 0, and where the block reaches
-    below m = 0 (reaches_0) its step to m = -1 is the reciprocal of an
-    infinite ratio, 0, so no walk ever overflows.
+    below m = 0 its step to m = -1 is the reciprocal of an infinite
+    ratio, 0, so no walk ever overflows.
     """
     steps = np.subtract(n, m[:, :-1])  # n - m, exact; step c leaves column c
     steps *= odds
-    if reaches_0:
-        with np.errstate(divide="ignore"):  # m + 1, the next column's index, is 0 at m = -1
-            steps /= m[:, 1:]
-    else:
+    with np.errstate(divide="ignore"):  # m + 1, the next column's index, is 0 at m = -1
         steps /= m[:, 1:]
     np.reciprocal(steps[:, :below], out=steps[:, :below])
     w = np.empty(m.shape)
@@ -466,8 +474,7 @@ def basis_derivative(m: int, n: int, x: float) -> float:
     Equals n * (value at (m-1, n-1) minus value at (m, n-1)); the zero
     convention makes the edge cases m = 0 and m = n come out right.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count(n, "n", 1)  # basis_eval checks m
     return n * (basis_eval(m - 1, n - 1, x) - basis_eval(m, n - 1, x))
 
 
@@ -489,32 +496,28 @@ def moment_sums(
     """moment_sum(n, x, kind) for each pair of ns and xs, bit for bit.
 
     kind is one kind for every pair, or a sequence of one kind per pair.
-    The pairs go _MOMENT_CHUNK at a time to _basis_blocks, which builds
-    their rows in blocks, but each pair's sum runs over its own row
-    alone, as moment_sum's does.  A bad pair raises moment_sum's error.
+    All pairs are checked first, ns for an integer dtype, and a bad pair
+    raises moment_sum's error.  They go _MOMENT_CHUNK at a time to
+    _basis_blocks, which builds their rows in blocks, but each pair's sum
+    runs over its own row alone, as moment_sum's does.
     """
     kinds = [kind] * len(ns) if isinstance(kind, str) else kind
     if not len(ns) == len(xs) == len(kinds):
         raise ValueError("ns, xs and the kinds must be of one length")
-    sums = np.empty(len(ns))
-    for first in range(0, len(ns), _MOMENT_CHUNK):
-        chunk = slice(first, first + _MOMENT_CHUNK)
-        n = np.asarray(ns[chunk], dtype=np.intp)
-        if n.min() < 1:
-            raise ValueError(f"n must be >= 1, got {n[(n < 1).argmax()]}")
-        x = _unit_grid(xs[chunk])
-        chunk_kinds = kinds[chunk]
-        if not set(chunk_kinds) <= _MOMENT_KINDS:
-            unknown = next(k for k in chunk_kinds if k not in _MOMENT_KINDS)
-            raise ValueError(f"unknown moment kind {unknown!r}")
+    ns, xs = _check_count(np.asarray(ns), "n", 1), _unit_grid(xs)
+    if not set(kinds) <= _MOMENT_KINDS:
+        raise ValueError(f"unknown moment kind {next(k for k in kinds if k not in _MOMENT_KINDS)!r}")
+    sums = np.empty(ns.size)
+    for first in range(0, ns.size, _MOMENT_CHUNK):
+        n, x = ns[first : first + _MOMENT_CHUNK], xs[first : first + _MOMENT_CHUNK]
         nx = (n * x).tolist()
         for index, start, stop, w, m in _basis_blocks(n, x, _window_half(n)):
             for i, a, b, row, m_row in zip(index, start, stop, w, m):
                 row, factors = row[a:b], m_row[a:b]
-                if chunk_kinds[i] == "partition":
+                if kinds[first + i] == "partition":
                     sums[first + i] = np.add.reduce(row)  # = row.sum()
                     continue
-                if chunk_kinds[i] == "second_central":
+                if kinds[first + i] == "second_central":
                     factors = np.subtract(nx[i], factors)  # n x - m
                     factors *= factors
                 sums[first + i] = factors.dot(row)
@@ -527,16 +530,9 @@ def moment_sums(
 
 
 def bernstein_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
-    """Degree-n Bernstein approximant of f: coefficient m is f(m/n).
-
-    A RealFunction is sampled by one values() call, a plain callable one
-    point at a time.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(f, RealFunction):
-        return BernsteinPoly(n, tuple(f.values(np.arange(n + 1) / n).tolist()))
-    return BernsteinPoly(n, tuple(float(f(m / n)) for m in range(n + 1)))
+    """Degree-n Bernstein approximant of f: coefficient m is f(m/n), sampled by _values_on."""
+    n = _check_count(n, "n", 1)
+    return BernsteinPoly(n, tuple(_values_on(f, np.arange(n + 1) / n).tolist()))
 
 
 def primitive_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
@@ -588,7 +584,7 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
     The window is _window_half(n) wide on each side, so the dropped
     weights sum to under 1e-18.
 
-    Points go _WINDOW_BLOCK weights at a time, one window per row of a
+    Points go _BASIS_BLOCK weights at a time, one window per row of a
     block.  Each block's weights are walked and normalised once, and
     each coefficient row then takes its own spread sum over them, so a
     row's values are those of a call with that row alone, bit for bit.
@@ -626,7 +622,7 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
         halved = np.zeros(hi - lo + 1)
         halved[first - lo : n + 1 - lo] = 0.5 * np.array(row[first : hi + 1])
         per_row.append((_windows(halved, 2 * half + 1), halved[at], np.empty(at.size)))
-    block = max(1, _WINDOW_BLOCK // (2 * half + 1))
+    block = max(1, _BASIS_BLOCK // (2 * half + 1))
     for start in range(0, at.size, block):
         points = slice(start, start + block)
         k, r = at[points], odds[points]
@@ -654,14 +650,8 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
 
 
 def eval_poly(p: BernsteinPoly, x: float) -> float:
-    """Evaluate p at x as a convex combination of its coefficients.
-
-    The normalised window of basis weights of _window_values, at one
-    point, so the result cannot leave [min coeff, max coeff] up to
-    rounding.
-    """
-    x = _check_unit(x)
-    return float(_window_values((p.coeffs,), np.array([x]))[0][0])
+    """poly_values(p, [x]) as a float, so within [min coeff, max coeff] up to rounding."""
+    return float(poly_values(p, [x])[0])
 
 
 def poly_values(p: BernsteinPoly, xs: Sequence[float]) -> np.ndarray:
@@ -788,11 +778,12 @@ def lipschitz_delta(lipschitz: float, eps: float) -> float:
 
 
 def _values_on(obj: Evaluatable, grid: np.ndarray) -> np.ndarray:
+    """obj at each point of grid; a plain callable is called on each point as a Python float."""
     if isinstance(obj, BernsteinPoly):
         return poly_values(obj, grid)
     if isinstance(obj, RealFunction):
         return obj.values(grid)
-    return np.array([float(obj(x)) for x in grid])
+    return np.array([float(obj(x)) for x in grid.tolist()])
 
 
 def sup_norm_distance(g: Evaluatable, h: Evaluatable, grid_size: int = 1001) -> SupNormEstimate:
@@ -802,8 +793,7 @@ def sup_norm_distance(g: Evaluatable, h: Evaluatable, grid_size: int = 1001) -> 
     largest absolute difference; a lower bound for the true sup-norm,
     with per-point maxima only (no order-dependent reductions).
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _check_count(grid_size, "grid_size", 2)
     grid = np.arange(grid_size) / float(grid_size - 1)
     diff = np.abs(_values_on(g, grid) - _values_on(h, grid))
     index = int(np.argmax(diff))  # first index wins on ties

@@ -259,6 +259,54 @@ class TestSupNormDistance:
         with pytest.raises(ValueError):
             sup_norm_distance(lambda x: x, lambda x: x, 1)
 
+    def test_grid_size_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sup_norm_distance(lambda x: x, lambda x: x, 5.0)
+        with pytest.raises(ValueError, match="^grid_size must be >= 2, got 1$"):
+            sup_norm_distance(lambda x: x, lambda x: x, 1)
+
+    def test_real_function_is_evaluated_on_the_grid_in_one_batch(self):
+        # sup_norm_distance hands a RealFunction the whole grid through values().
+        grids = []
+        f = RealFunction(lambda x: x * x, batch=lambda xs: grids.append(xs.copy()) or xs * xs)
+        grids.clear()
+        poly = bernstein_approximant(math.cos, 8)
+        estimate = sup_norm_distance(f, poly, 11)
+        assert [grid.tolist() for grid in grids] == [[i / 10 for i in range(11)]]
+        expected = sup_norm_distance(lambda x: x * x, poly, 11)
+        assert (estimate.value, estimate.argmax) == (expected.value, expected.argmax)
+
+
+class TestPlainCallables:
+    """bernstein_approximant and sup_norm_distance call a plain callable on Python floats."""
+
+    def test_pole_raises_as_python_arithmetic_does(self):
+        # Called on numpy.float64, 1 / 0.0 was inf with a RuntimeWarning,
+        # and sup_norm_distance returned SupNormEstimate(value=inf, argmax=0.0).
+        with pytest.raises(ZeroDivisionError):
+            sup_norm_distance(BernsteinPoly(1, (0.0, 1.0)), lambda x: 1 / x, 5)
+        with pytest.raises(ZeroDivisionError):
+            bernstein_approximant(lambda x: 1 / x, 4)
+
+    def test_points_arrive_as_floats(self):
+        seen = []
+
+        def f(x):
+            seen.append(type(x))
+            return x
+
+        sup_norm_distance(f, lambda x: 0.0, 5)
+        assert seen == [float] * 5
+        seen.clear()
+        bernstein_approximant(f, 4)
+        assert seen == [float] * 5
+
+    def test_degree_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            bernstein_approximant(math.sin, 4.0)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            bernstein_approximant(math.sin, 0)
+
 
 class TestRealFunction:
     def test_probe_rejects_partial_functions(self):
@@ -268,6 +316,11 @@ class TestRealFunction:
     def test_probe_rejects_non_finite(self):
         with pytest.raises(EvaluationError):
             RealFunction(lambda x: float("inf") if x > 0.9 else x)
+
+    def test_call_rejects_a_non_finite_value(self):
+        f = RealFunction(lambda x: 1e308 * 10 if x == 0.3 else 0.0)  # the probe grid misses 0.3
+        with pytest.raises(EvaluationError, match=r"^evaluator returned non-finite value inf at x=0\.3$"):
+            f(0.3)
 
     def test_call_checks_domain(self):
         f = RealFunction(lambda x: x)

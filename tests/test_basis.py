@@ -376,3 +376,70 @@ class TestMomentSums:
             with pytest.raises(ValueError) as excinfo:
                 moment_sums(ns, xs, kind)  # type: ignore[arg-type]
             assert str(excinfo.value) == message
+
+
+class TestIntegerArguments:
+    """Degrees, indices and counts must be integers; anything else raises TypeError."""
+
+    NOT_AN_INTEGER = "cannot be interpreted as an integer|must have an integer dtype"
+    NON_INTEGER_CALLS = [
+        (moment_sum, (2.5, 0.5, "first")),  # once degree 2's 1.0
+        (moment_sum, ("7", 0.5, "first")),  # once degree 7's 3.5
+        (moment_sum, (2.0, 0.5, "first")),
+        (moment_sums, ([3, 2.5], [0.5, 0.5], "first")),
+        (moment_sums, (np.array([3.0, 4.0]), [0.5, 0.5], "partition")),
+        (basis_eval, (3, 60.5, 0.5)),  # once 2.15e-14
+        (basis_eval, (3, 40.5, 0.5)),
+        (basis_eval, (20.5, 100, 0.2)),  # once 0.0976
+        (basis_eval, (2.5, 60, 0.5)),  # once "tuple indices must be integers or slices, not float"
+        (basis_eval, (2, 4.0, 0.5)),
+        (basis_derivative, (20.5, 100, 0.2)),  # once 0.305
+        (basis_derivative, (2, 4.0, 0.5)),
+        (basis_all, (3.0, 0.5)),
+        (binomial_convention, (4.0, 2)),
+        (binomial_convention, (4, 2.0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "function,args", NON_INTEGER_CALLS, ids=[f"{f.__name__}{args}" for f, args in NON_INTEGER_CALLS]
+    )
+    def test_non_integers_raise_type_error(self, function, args):
+        with pytest.raises(TypeError, match=self.NOT_AN_INTEGER):
+            function(*args)
+
+    def test_numpy_integers_are_integers(self):
+        n, m = np.int64(60), np.intp(20)
+        assert basis_eval(m, n, 0.3) == basis_eval(20, 60, 0.3)
+        assert binomial_convention(n, m) == math.comb(60, 20)
+        assert basis_all(n, 0.3).tolist() == basis_all(60, 0.3).tolist()
+        assert moment_sum(n, 0.3, "first") == moment_sum(60, 0.3, "first")
+        assert moment_sums(np.array([60, 7], dtype=np.int32), [0.3, 0.5], "first").tolist() == [
+            moment_sum(60, 0.3, "first"),
+            moment_sum(7, 0.5, "first"),
+        ]
+
+    @pytest.mark.parametrize(
+        "function,args,message",
+        [
+            (binomial_convention, (-1, 0), "n must be >= 0, got -1"),
+            (basis_eval, (0, -2, 0.5), "n must be >= 0, got -2"),
+            (basis_all, (-1, 0.5), "n must be >= 0, got -1"),
+            (basis_derivative, (0, 0, 0.5), "n must be >= 1, got 0"),
+            (moment_sum, (0, 0.5, "partition"), "n must be >= 1, got 0"),
+            (moment_sums, ([3, 0, -1], [0.5, 0.5, 0.5], "first"), "n must be >= 1, got 0"),
+            (moment_sums, (np.array([5, -4]), [0.5, 0.5], "first"), "n must be >= 1, got -4"),
+        ],
+    )
+    def test_range_messages_are_unchanged(self, function, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            function(*args)
+        assert str(excinfo.value) == message
+
+    def test_draws_are_checked_before_any_is_walked(self, monkeypatch):
+        # A bad draw past the first chunk raises before any block is built.
+        walked = []
+        monkeypatch.setattr(core, "_basis_blocks", lambda *args: walked.append(args) or iter(()))
+        ns = [3] * (core._MOMENT_CHUNK + 1) + [0]
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            moment_sums(ns, [0.5] * len(ns), "first")
+        assert walked == []

@@ -29,7 +29,7 @@ from bernprim import (
     poly_and_primitive_values,
     poly_values,
 )
-from bernprim.core import _WINDOW_BLOCK, _window_values
+from bernprim.core import _BASIS_BLOCK, _window_values
 
 
 def direct_sum(coeffs, x: float) -> float:
@@ -53,6 +53,18 @@ class TestBernsteinPoly:
             BernsteinPoly(1, (0.0, float("nan")))
         with pytest.raises(ValueError):
             BernsteinPoly(1, (0.0, float("inf")))
+
+    @pytest.mark.parametrize("degree", [2.5, 2.0, "2"])
+    def test_degree_must_be_an_integer(self, degree):
+        # 2.5 once raised "degree 2.5 needs 3.5 coefficients, got 3".
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            BernsteinPoly(degree, (0.0, 1.0, 2.0))
+
+    def test_numpy_integer_degree_is_kept_as_an_int(self):
+        poly = BernsteinPoly(np.int64(2), (0.0, 0.5, 1.0))
+        assert type(poly.degree) is int
+        assert poly == BernsteinPoly(2, (0.0, 0.5, 1.0))
+        assert str(pytest.raises(ValueError, BernsteinPoly, -1, ()).value) == "degree must be >= 0, got -1"
 
     def test_call_matches_eval_poly(self):
         poly = BernsteinPoly(3, (0.0, 0.25, 0.75, 1.0))
@@ -186,12 +198,12 @@ class TestWindowEvaluation:
 
     @pytest.mark.parametrize("degree", [1, 2, 65, 101, 1160, 8081, 100_000])
     def test_bitwise_identical_across_block_boundaries(self, degree):
-        # Points go _WINDOW_BLOCK weights at a time; a grid one short of a
+        # Points go _BASIS_BLOCK weights at a time; a grid one short of a
         # block, exactly one, one past it, or many, gives each point the
         # value eval_poly computes for it alone.
         rng = np.random.default_rng(degree)
         poly = BernsteinPoly(degree, tuple(rng.uniform(-1.0, 1.0, degree + 1)))
-        block = _WINDOW_BLOCK // (2 * (math.ceil(4.6 * math.sqrt(degree)) + 2) + 1)
+        block = _BASIS_BLOCK // (2 * (math.ceil(4.6 * math.sqrt(degree)) + 2) + 1)
         for size in sorted({1, max(1, block - 1), block, block + 1, 1001}):
             xs = rng.uniform(0.0, 1.0, size)
             values = poly_values(poly, xs)
@@ -283,11 +295,11 @@ class TestPrimitiveFromOneWalk:
     @pytest.mark.parametrize("degree", [1, 65, 1160, 8081, 100_000])
     def test_bitwise_identical_across_block_boundaries(self, degree):
         # A point's row values are those it gets alone, whatever block of
-        # _WINDOW_BLOCK weights it lands in.
+        # _BASIS_BLOCK weights it lands in.
         poly, primitive = _walked(degree, degree + 3)
         rows = (poly.coeffs, primitive.coeffs[:-1])
         rng = np.random.default_rng(degree)
-        block = _WINDOW_BLOCK // (2 * (math.ceil(4.6 * math.sqrt(degree)) + 2) + 1)
+        block = _BASIS_BLOCK // (2 * (math.ceil(4.6 * math.sqrt(degree)) + 2) + 1)
         for size in sorted({1, max(1, block - 1), block, block + 1, 1001}):
             xs = rng.uniform(0.0, 1.0, size)
             alone = np.hstack([_window_values(rows, np.array([x])) for x in xs.tolist()])
@@ -299,7 +311,7 @@ class TestPrimitiveFromOneWalk:
         # weights per temporary: 38 MB at degree 1000 and 107 MB at 8081
         # for these 16001 points.  In blocks, the peak is the arrays of
         # one entry per point or per index and a few block temporaries of
-        # at most _WINDOW_BLOCK weights (64 KB).
+        # at most _BASIS_BLOCK weights (64 KB).
         poly, _ = _walked(degree, degree)
         xs = np.random.default_rng(degree).uniform(0.0, 1.0, 16001)
         tracemalloc.start()
@@ -308,7 +320,7 @@ class TestPrimitiveFromOneWalk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (16 * xs.size + 16 * (degree + 1) + 8 * _WINDOW_BLOCK)
+        assert peak <= 8 * (16 * xs.size + 16 * (degree + 1) + 8 * _BASIS_BLOCK)
 
     @pytest.mark.parametrize("degree", [1, 2, 65, 101, 1160, 8081, 100_000])
     def test_extreme_points_are_quiet_finite_and_bitwise_identical(self, degree):
