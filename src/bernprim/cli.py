@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    MOMENT_KINDS,
     BernsteinPoly,
     EvaluationError,
     RealFunction,
@@ -98,7 +99,6 @@ class UsageError(Exception):
 
 IDENTITY_NAMES = ["derivative_vs_fd", "partition", "first_moment", "second_central_moment"]
 IDENTITY_TOLERANCES = [1e-5, 1e-12, 1e-9, 1e-8]
-MOMENT_KINDS = ["partition", "first", "second_central"]  # the sums identities 1-3 check
 EXPR_COMMANDS = ("approx", "primitive", "converge", "bound")  # the subcommands that take --expr
 
 

@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator, Literal, Sequence, Union
+from typing import Callable, Iterator, Literal, Sequence, Union, get_args
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # Naive C(n,m) * x^m * (1-x)^(n-m) is safe for small degrees only; above
-# this basis_eval uses Loader's saddle-point form.
+# this _basis_weight uses Loader's saddle-point form.
 _NAIVE_BASIS_LIMIT = 50
 
 # stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 1..16, to double
@@ -84,7 +84,7 @@ _PROBE_POINTS = 257
 _PROBE_GRID = np.arange(_PROBE_POINTS) / (_PROBE_POINTS - 1)
 
 MomentKind = Literal["partition", "first", "second_central"]
-_MOMENT_KINDS = {"partition", "first", "second_central"}
+MOMENT_KINDS = get_args(MomentKind)  # the sums identities 1-3 check, in their order
 
 
 class EvaluationError(Exception):
@@ -333,7 +333,11 @@ def basis_eval(m: int, n: int, x: float) -> float:
     probabilities", 2000.)
     """
     n, m = _check_count(n, "n", 0), _check_count(m, "m")
-    x = _check_unit(x)
+    return _basis_weight(m, n, _check_unit(x))
+
+
+def _basis_weight(m: int, n: int, x: float) -> float:
+    """basis_eval(m, n, x) for an int n >= 0, an int m and a float x in [0, 1], unchecked."""
     if m < 0 or m > n:
         return 0.0
     if x == 0.0:
@@ -386,36 +390,29 @@ def _basis_blocks(
 
     A draw's row holds the basis values at m = lo..hi, for |m - mode| <=
     half clipped to 0..n, where the mode floor((n+1) x) is the index of
-    the largest weight.  At x = 0 and x = 1 the row is an exact unit
-    vector.  Inside, it walks outward from 1.0 at the mode with the exact
-    neighbour ratio (n-m)/(m+1) * x/(1-x), so far tails underflow
-    harmlessly to 0, and is scaled by basis_eval at the mode, never by its
-    own sum, so the partition of unity stays something to check.
+    the largest weight.  It walks outward from 1.0 at the mode with the
+    exact neighbour ratio (n-m)/(m+1) * x/(1-x), so far tails underflow
+    harmlessly to 0, and is scaled by the weight at the mode, never by
+    its own sum, so the partition of unity stays something to check.  At
+    x = 0 and x = 1 it is an exact unit vector: the ratio away from the
+    mode, or its reciprocal, is 0, and the weight at the mode is 1.0.
 
     Row r of a block is draw index[r]: w[r, start[r]:stop[r]] is its row,
-    and m, of w's shape, holds the index m of each weight.  The endpoint
-    draws come first, then the inner ones from the largest n down, in
-    runs that keep each block within _BASIS_BLOCK padded weights, the
-    budget _window_values shares (a wider row is a block of its own);
-    half must not decrease with n.  A row's arithmetic is its own, so
-    its values do not depend on the draws it shares a block with.
+    and m, of w's shape, holds the index m of each weight.  The draws go
+    from the largest n down, in runs that keep each block within
+    _BASIS_BLOCK padded weights, the budget _window_values shares (a
+    wider row is a block of its own); half must not decrease with n.  A
+    row's arithmetic is its own, so its values do not depend on the draws
+    it shares a block with.
     """
-    inner = (x > 0.0) & (x < 1.0)
-    # Endpoints first, then n from the largest down.  sorted() is stable,
-    # and unlike numpy's sorts it maps no code pages nothing else uses.
-    keys = np.where(inner, -n, -n - n.max(initial=0) - 1).tolist()
+    # sorted() is stable, and unlike numpy's sorts it maps no code pages nothing else uses.
+    keys = (-n).tolist()
     order = np.array(sorted(range(n.size), key=keys.__getitem__), dtype=np.intp)
     n, x, half = n[order], x[order], half[order]
     modes = np.minimum((x * (n + 1)).astype(np.intp), n)
-    ends = n.size - int(np.count_nonzero(inner))
     below, above = np.minimum(modes, half).tolist(), np.minimum(n - modes, half).tolist()
-    # Columns over the inner draws: n, x / (1 - x) and basis_eval at the mode.
-    draws = zip(modes[ends:].tolist(), n[ends:].tolist(), x[ends:].tolist())
-    walks = (
-        n[ends:, None].astype(float),
-        (x[ends:] / (1.0 - x[ends:]))[:, None],
-        np.array([basis_eval(*draw) for draw in draws])[:, None],
-    )
+    scales = [_basis_weight(*draw) for draw in zip(modes.tolist(), n.tolist(), x.tolist())]
+    walks = n[:, None].astype(float), x[:, None], np.array(scales)[:, None]  # _basis_block's columns
     widest = int(half.max(initial=0))
     offsets = np.arange(-widest, widest + 1, dtype=float)
     modes = modes[:, None].astype(float)
@@ -423,17 +420,11 @@ def _basis_blocks(
     start = 0
     while start < len(order):
         # No row of the run is wider than its first, of the largest n and half.
-        stop = start + max(1, _BASIS_BLOCK // (2 * half[start] + 1))
-        stop = min(stop, ends if start < ends else len(order))
+        stop = min(start + max(1, _BASIS_BLOCK // (2 * half[start] + 1)), len(order))
         run = slice(start, stop)
         most_below, most_above = max(below[run]), max(above[run])
         m = modes[run] + offsets[widest - most_below : widest + most_above + 1]
-        if start < ends:
-            w = np.zeros(m.shape)
-            w[:, most_below] = 1.0
-        else:
-            columns = [column[start - ends : stop - ends] for column in walks]
-            w = _basis_block(*columns, m, most_below)
+        w = _basis_block(*(column[run] for column in walks), m, most_below)
         starts = [most_below - b for b in below[run]]
         yield order[run], starts, [most_below + a + 1 for a in above[run]], w, m
         del m, w  # so that the next block is built while only its own arrays are alive
@@ -441,30 +432,33 @@ def _basis_blocks(
 
 
 def _basis_block(
-    n: np.ndarray, odds: np.ndarray, scales: np.ndarray, m: np.ndarray, below: int
+    n: np.ndarray, x: np.ndarray, scales: np.ndarray, m: np.ndarray, below: int
 ) -> np.ndarray:
     """Rows of basis values at the indices m, whose column `below` is each row's mode.
 
-    n, odds = x / (1 - x) and scales are columns, one entry per row.  A
-    walk's step is the neighbour ratio b[m+1] / b[m] = odds (n-m) / (m+1),
+    n, x and scales are columns, one entry per row.  A walk's step is the
+    neighbour ratio b[m+1] / b[m] = odds (n-m) / (m+1), odds = x / (1-x),
     rounded in that order, to the columns above the mode and its
     reciprocal below.  Each walk is one cumulative product along the
     rows, outward from 1.0 at the mode column, and each row is then
-    multiplied by its scale.  Past a row's own window a walk runs on
-    harmlessly: its step at m = n is 0, and where the block reaches
-    below m = 0 its step to m = -1 is the reciprocal of an infinite
-    ratio, 0, so no walk ever overflows.
+    multiplied by its scale.  Past its own window a walk runs on to the
+    block's widest row, where it may divide by 0 (odds 0 at x = 0, m + 1
+    at m = -1), overflow (a reciprocal below m = 0 at a subnormal x) or
+    make nan (0 times inf).  One errstate silences the whole walk: inside
+    each row's window every step is finite (at x = 1 the odds are inf and
+    the steps below the mode their reciprocals, 0) and no product
+    overflows, so every value those produce lies outside it.
     """
-    steps = np.subtract(n, m[:, :-1])  # n - m, exact; step c leaves column c
-    steps *= odds
-    with np.errstate(divide="ignore"):  # m + 1, the next column's index, is 0 at m = -1
-        steps /= m[:, 1:]
-    np.reciprocal(steps[:, :below], out=steps[:, :below])
-    w = np.empty(m.shape)
-    w[:, below] = 1.0
-    np.multiply.accumulate(steps[:, below:], axis=1, out=w[:, below + 1 :])
-    np.multiply.accumulate(steps[:, :below][:, ::-1], axis=1, out=w[:, :below][:, ::-1])
-    w *= scales
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steps = np.subtract(n, m[:, :-1])  # n - m, exact; step c leaves column c
+        steps *= x / (1.0 - x)
+        steps /= m[:, 1:]  # m + 1, the next column's index
+        np.reciprocal(steps[:, :below], out=steps[:, :below])
+        w = np.empty(m.shape)
+        w[:, below] = 1.0
+        np.multiply.accumulate(steps[:, below:], axis=1, out=w[:, below + 1 :])
+        np.multiply.accumulate(steps[:, :below][:, ::-1], axis=1, out=w[:, :below][:, ::-1])
+        w *= scales
     return w
 
 
@@ -474,8 +468,8 @@ def basis_derivative(m: int, n: int, x: float) -> float:
     Equals n * (value at (m-1, n-1) minus value at (m, n-1)); the zero
     convention makes the edge cases m = 0 and m = n come out right.
     """
-    n = _check_count(n, "n", 1)  # basis_eval checks m
-    return n * (basis_eval(m - 1, n - 1, x) - basis_eval(m, n - 1, x))
+    n, m, x = _check_count(n, "n", 1), _check_count(m, "m"), _check_unit(x)
+    return n * (_basis_weight(m - 1, n - 1, x) - _basis_weight(m, n - 1, x))
 
 
 def moment_sum(n: int, x: float, kind: MomentKind) -> float:
@@ -505,8 +499,8 @@ def moment_sums(
     if not len(ns) == len(xs) == len(kinds):
         raise ValueError("ns, xs and the kinds must be of one length")
     ns, xs = _check_count(np.asarray(ns), "n", 1), _unit_grid(xs)
-    if not set(kinds) <= _MOMENT_KINDS:
-        raise ValueError(f"unknown moment kind {next(k for k in kinds if k not in _MOMENT_KINDS)!r}")
+    if not set(kinds) <= set(MOMENT_KINDS):
+        raise ValueError(f"unknown moment kind {next(k for k in kinds if k not in MOMENT_KINDS)!r}")
     sums = np.empty(ns.size)
     for first in range(0, ns.size, _MOMENT_CHUNK):
         n, x = ns[first : first + _MOMENT_CHUNK], xs[first : first + _MOMENT_CHUNK]

@@ -19,6 +19,7 @@ _BLOCK_NODES nodes, so memory stays bounded at any number of rows.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -46,6 +47,16 @@ def _check_upper(upper: float) -> float:
     return upper
 
 
+def _check_panels(panels: int, even: bool = True) -> int:
+    """panels as an int (TypeError for 2.5 or 4.0, as for core's degrees), >= 1, even for Simpson."""
+    panels = operator.index(panels)
+    if even and (panels < 2 or panels % 2):
+        raise ValueError(f"panels must be an even number >= 2, got {panels}")
+    if panels < 1:
+        raise ValueError(f"panels must be >= 1, got {panels}")
+    return panels
+
+
 def _fsum(rule: str, upper: float, terms: Iterable[float]) -> float:
     """math.fsum of a rule's terms; a sum without a float value raises OverflowError."""
     try:
@@ -62,8 +73,7 @@ def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "mi
     f is called exactly panels times (not at all when upper is 0).
     """
     upper = _check_upper(upper)
-    if panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
+    panels = _check_panels(panels, even=False)
     if rule not in _RULE_OFFSETS:
         raise ValueError(f"unknown rule {rule!r}; expected left, right, or midpoint")
     if upper == 0.0:
@@ -75,18 +85,13 @@ def riemann_sum(f: Integrand, upper: float, panels: int, rule: RiemannRule = "mi
     return h * _fsum("Riemann", upper, terms)
 
 
-def _check_panels(panels: int) -> None:
-    if panels < 2 or panels % 2:
-        raise ValueError(f"panels must be an even number >= 2, got {panels}")
-
-
 def simpson(f: Integrand, upper: float, panels: int) -> float:
     """Composite Simpson rule over [0, upper]; panels must be even.
 
     f is called exactly panels + 1 times (not at all when upper is 0).
     """
     upper = _check_upper(upper)
-    _check_panels(panels)
+    panels = _check_panels(panels)
     if upper == 0.0:
         return 0.0
     h = upper / panels
@@ -111,7 +116,7 @@ def simpson_rows(f: ArrayIntegrand, uppers: Sequence[float], panels: int) -> lis
     is that already.
     """
     uppers = [_check_upper(upper) for upper in uppers]
-    _check_panels(panels)
+    panels = _check_panels(panels)
     fractions = np.arange(panels + 1) / panels
     weights = np.full(panels + 1, 2.0)
     weights[1::2] = 4.0

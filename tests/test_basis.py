@@ -239,8 +239,8 @@ class TestMomentSum:
     def test_window_is_not_normalised(self, monkeypatch):
         # Were the window divided by its own sum, the partition identity
         # would hold by construction and could never FAIL.
-        exact = core.basis_eval
-        monkeypatch.setattr(core, "basis_eval", lambda m, n, x: 1.001 * exact(m, n, x))
+        exact = core._basis_weight
+        monkeypatch.setattr(core, "_basis_weight", lambda m, n, x: 1.001 * exact(m, n, x))
         for n in (7, 60, 1000, 100000):
             for x in (0.03, 0.5, 0.81):
                 assert moment_sum(n, x, "partition") == pytest.approx(1.001, abs=1e-12)
@@ -351,9 +351,10 @@ class TestMomentSums:
         assert max(areas) <= core._BASIS_BLOCK
 
     def test_quiet_at_the_edges(self):
-        # Windows that reach below m = 0 or past m = n, next to wide ones.
-        ns = [1, 2, 100000, 3, 60, 100000, 1]
-        xs = [0.5, 1e-300, 1e-5, 1.0 - 2**-53, 0.01, 0.99999, 1.0]
+        # Windows that reach below m = 0 or past m = n, next to wide ones;
+        # at a subnormal x a reciprocal below m = 0 overflows.
+        ns = [1, 2, 100000, 3, 60, 100000, 1, 1000, 1000, 1000, 7]
+        xs = [0.5, 1e-300, 1e-5, 1.0 - 2**-53, 0.01, 0.99999, 1.0, 0.5, 5e-324, 1e-310, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in KINDS:
@@ -443,3 +444,18 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             moment_sums(ns, [0.5] * len(ns), "first")
         assert walked == []
+
+    def test_draws_are_checked_once_per_call(self, monkeypatch):
+        # The checks of a moment_sums call do not grow with its draws.
+        calls = []
+        check = core._check_count
+        monkeypatch.setattr(core, "_check_count", lambda *args: calls.append(args) or check(*args))
+        counts = []
+        for k in (1, 500):
+            rng = random.Random(k)
+            ns = [rng.randint(1, 100000) for _ in range(k)]
+            xs = [rng.choice((0.0, 1.0, rng.random())) for _ in range(k)]
+            calls.clear()
+            moment_sums(ns, xs, "second_central")
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

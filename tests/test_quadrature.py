@@ -74,12 +74,14 @@ class TestRiemannSum:
             assert 1.9 <= coarse / fine <= 2.1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^panels must be >= 1, got 0$"):
             riemann_sum(lambda t: t, 1.0, 0)
         with pytest.raises(ValueError):
             riemann_sum(lambda t: t, 1.0, 4, rule="trapezoid")  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             riemann_sum(lambda t: t, 1.2, 4)
+        with pytest.raises(TypeError):
+            riemann_sum(math.sin, 1.0, 2.5)  # type: ignore[arg-type]
 
 
 class TestSimpson:
@@ -125,6 +127,11 @@ class TestSimpson:
             simpson(lambda t: t, 1.0, 0)
         with pytest.raises(ValueError):
             simpson(lambda t: t, -0.1, 4)
+        with pytest.raises(ValueError, match=r"^panels must be an even number >= 2, got 3$"):
+            simpson(math.sin, 1.0, np.int64(3))
+        for panels in (2.5, 4.0, 3.0):  # a non-integer is a TypeError, as a degree is
+            with pytest.raises(TypeError):
+                simpson(math.sin, 1.0, panels)  # type: ignore[arg-type]
 
     def test_overflow_to_both_signs_is_overflow_error(self):
         # Nodes 0.25 and 0.75 carry weight 4, so their terms are +inf and -inf.
@@ -231,6 +238,8 @@ class TestSimpsonRows:
             simpson_rows(sin_exp, [0.5], 3)
         with pytest.raises(ValueError):
             simpson_rows(sin_exp, [0.5, 1.2], 4)
+        with pytest.raises(TypeError):
+            simpson_rows(np.sin, [1.0], 4.0)  # type: ignore[arg-type]
         assert simpson_rows(sin_exp, [], 4) == []
 
 
