@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator, Literal, Sequence, Union, get_args
+from typing import Callable, Literal, Sequence, Union, get_args
 
 import numpy as np
 
@@ -68,14 +68,15 @@ _STIRLERR = (
     0.0052076559196096404,
 )
 
-# _basis_blocks and _window_values walk in blocks of at most this many
+# moment_sums and _window_values walk in blocks of at most this many
 # (padded) weights: 64 KB arrays, under glibc's 128 KB mmap threshold (blocks
 # of 15 * 2**10 weights already cost hundreds of page faults per call); on a
 # 2-CPU x86 host they ran faster than blocks of 2**12.
 _BASIS_BLOCK = 2**13
 
-# moment_sums hands _basis_blocks this many draws at a time, so its
-# bookkeeping stays small at any grid.
+# moment_sums sorts and tabulates this many draws at a time, so its
+# bookkeeping stays small at any grid: `identities --n-max 100000 --grid
+# 100001` peaked at 41.6 MB RSS with these chunks and 139.7 MB without.
 _MOMENT_CHUNK = 2**12
 
 # RealFunction probes its evaluator at i/256, i = 0..256, when it is built:
@@ -364,10 +365,11 @@ def _basis_weight(m: int, n: int, x: float) -> float:
 
 
 def basis_all(n: int, x: float) -> np.ndarray:
-    """All n+1 basis values at x in one O(n) pass (see _basis_blocks)."""
+    """All n+1 basis values at x in one O(n) pass: one _basis_block row, m = 0..n."""
     n, x = _check_count(n, "n", 0), _check_unit(x)
-    _, start, _, w, _ = next(_basis_blocks(np.array([n]), np.array([x]), np.array([n])))
-    return w[0, start[0] :]
+    mode = min(int(x * (n + 1)), n)
+    weight = np.array([[_basis_weight(mode, n, x)]])
+    return _basis_block(np.array([[n]]), np.array([[x]]), weight, np.arange(n + 1.0)[None], mode)[0]
 
 
 def _window_half(n):
@@ -383,65 +385,24 @@ def _window_half(n):
     return math.ceil(4.6 * math.sqrt(n)) + 2
 
 
-def _basis_blocks(
-    n: np.ndarray, x: np.ndarray, half: np.ndarray
-) -> Iterator[tuple[list[int], list[int], list[int], np.ndarray, np.ndarray]]:
-    """The basis rows of the draws (n, x, half), as blocks (index, start, stop, w, m).
-
-    A draw's row holds the basis values at m = lo..hi, for |m - mode| <=
-    half clipped to 0..n, where the mode floor((n+1) x) is the index of
-    the largest weight.  It walks outward from 1.0 at the mode with the
-    exact neighbour ratio (n-m)/(m+1) * x/(1-x), so far tails underflow
-    harmlessly to 0, and is scaled by the weight at the mode, never by
-    its own sum, so the partition of unity stays something to check.  At
-    x = 0 and x = 1 it is an exact unit vector: the ratio away from the
-    mode, or its reciprocal, is 0, and the weight at the mode is 1.0.
-
-    Row r of a block is draw index[r]: w[r, start[r]:stop[r]] is its row,
-    and m, of w's shape, holds the index m of each weight.  The draws go
-    from the largest n down, in runs that keep each block within
-    _BASIS_BLOCK padded weights, the budget _window_values shares (a
-    wider row is a block of its own); half must not decrease with n.  A
-    row's arithmetic is its own, so its values do not depend on the draws
-    it shares a block with.
-    """
-    # sorted() is stable, and unlike numpy's sorts it maps no code pages nothing else uses.
-    keys = (-n).tolist()
-    order = np.array(sorted(range(n.size), key=keys.__getitem__), dtype=np.intp)
-    n, x, half = n[order], x[order], half[order]
-    modes = np.minimum((x * (n + 1)).astype(np.intp), n)
-    below, above = np.minimum(modes, half).tolist(), np.minimum(n - modes, half).tolist()
-    scales = [_basis_weight(*draw) for draw in zip(modes.tolist(), n.tolist(), x.tolist())]
-    walks = n[:, None].astype(float), x[:, None], np.array(scales)[:, None]  # _basis_block's columns
-    widest = int(half.max(initial=0))
-    offsets = np.arange(-widest, widest + 1, dtype=float)
-    modes = modes[:, None].astype(float)
-    order, half = order.tolist(), half.tolist()
-    start = 0
-    while start < len(order):
-        # No row of the run is wider than its first, of the largest n and half.
-        stop = min(start + max(1, _BASIS_BLOCK // (2 * half[start] + 1)), len(order))
-        run = slice(start, stop)
-        most_below, most_above = max(below[run]), max(above[run])
-        m = modes[run] + offsets[widest - most_below : widest + most_above + 1]
-        w = _basis_block(*(column[run] for column in walks), m, most_below)
-        starts = [most_below - b for b in below[run]]
-        yield order[run], starts, [most_below + a + 1 for a in above[run]], w, m
-        del m, w  # so that the next block is built while only its own arrays are alive
-        start = stop
-
-
 def _basis_block(
     n: np.ndarray, x: np.ndarray, scales: np.ndarray, m: np.ndarray, below: int
 ) -> np.ndarray:
     """Rows of basis values at the indices m, whose column `below` is each row's mode.
 
-    n, x and scales are columns, one entry per row.  A walk's step is the
-    neighbour ratio b[m+1] / b[m] = odds (n-m) / (m+1), odds = x / (1-x),
-    rounded in that order, to the columns above the mode and its
-    reciprocal below.  Each walk is one cumulative product along the
-    rows, outward from 1.0 at the mode column, and each row is then
-    multiplied by its scale.  Past its own window a walk runs on to the
+    n, x and scales are columns, one entry per row; a row's mode is
+    floor((n+1) x), the index of its largest weight, and its scale the
+    weight there.  A walk's step is the neighbour ratio
+    b[m+1] / b[m] = odds (n-m) / (m+1), odds = x / (1-x), rounded in
+    that order, to the columns above the mode and its reciprocal below.
+    Each walk is one cumulative product along the rows, outward from 1.0
+    at the mode column, so far tails underflow harmlessly to 0, and each
+    row is then multiplied by its scale, never divided by its own sum, so
+    the partition of unity stays something to check.  At x = 0 and x = 1
+    a row is an exact unit vector: the ratio away from the mode, or its
+    reciprocal, is 0, and the weight at the mode is 1.0.  A row's
+    arithmetic is its own, so its values do not depend on the rows it
+    shares a block with.  Past its own window a walk runs on to the
     block's widest row, where it may divide by 0 (odds 0 at x = 0, m + 1
     at m = -1), overflow (a reciprocal below m = 0 at a subnormal x) or
     make nan (0 times inf).  One errstate silences the whole walk: inside
@@ -491,9 +452,10 @@ def moment_sums(
 
     kind is one kind for every pair, or a sequence of one kind per pair.
     All pairs are checked first, ns for an integer dtype, and a bad pair
-    raises moment_sum's error.  They go _MOMENT_CHUNK at a time to
-    _basis_blocks, which builds their rows in blocks, but each pair's sum
-    runs over its own row alone, as moment_sum's does.
+    raises moment_sum's error.  They go _MOMENT_CHUNK at a time, sorted
+    by n, in runs whose windows _basis_block walks as one block of at
+    most _BASIS_BLOCK padded weights (a wider row is a block of its own).
+    Each pair's sum runs over its own row alone, as moment_sum's does.
     """
     kinds = [kind] * len(ns) if isinstance(kind, str) else kind
     if not len(ns) == len(xs) == len(kinds):
@@ -504,18 +466,38 @@ def moment_sums(
     sums = np.empty(ns.size)
     for first in range(0, ns.size, _MOMENT_CHUNK):
         n, x = ns[first : first + _MOMENT_CHUNK], xs[first : first + _MOMENT_CHUNK]
-        nx = (n * x).tolist()
-        for index, start, stop, w, m in _basis_blocks(n, x, _window_half(n)):
-            for i, a, b, row, m_row in zip(index, start, stop, w, m):
-                row, factors = row[a:b], m_row[a:b]
-                if kinds[first + i] == "partition":
-                    sums[first + i] = np.add.reduce(row)  # = row.sum()
+        # Largest n first, so that no row of a run is wider than its first.  sorted() is stable,
+        # and unlike numpy's sorts it maps no code pages nothing else uses.
+        keys = (-n).tolist()
+        order = np.array(sorted(range(n.size), key=keys.__getitem__), dtype=np.intp)
+        n, x = n[order], x[order]
+        half, modes = _window_half(n), np.minimum((x * (n + 1)).astype(np.intp), n)
+        below, above = np.minimum(modes, half).tolist(), np.minimum(n - modes, half).tolist()
+        scales = [_basis_weight(*draw) for draw in zip(modes.tolist(), n.tolist(), x.tolist())]
+        # _basis_block's columns n, x and scales, one entry per row
+        walks = n[:, None].astype(float), x[:, None], np.array(scales)[:, None]
+        modes, nx = modes[:, None].astype(float), (n * x).tolist()
+        draws, half = (first + order).tolist(), half.tolist()
+        start = 0
+        while start < len(draws):
+            stop = min(start + max(1, _BASIS_BLOCK // (2 * half[start] + 1)), len(draws))
+            run = slice(start, stop)
+            most_below = max(below[run])
+            m = modes[run] + np.arange(-most_below, max(above[run]) + 1.0)
+            w = _basis_block(*(column[run] for column in walks), m, most_below)
+            rows = zip(draws[run], below[run], above[run], nx[run], w, m)
+            for i, low, high, mean, row, factors in rows:
+                window = slice(most_below - low, most_below + high + 1)  # draw i's own row
+                row, factors = row[window], factors[window]
+                if kinds[i] == "partition":
+                    sums[i] = np.add.reduce(row)  # = row.sum()
                     continue
-                if kinds[first + i] == "second_central":
-                    factors = np.subtract(nx[i], factors)  # n x - m
+                if kinds[i] == "second_central":
+                    factors = np.subtract(mean, factors)  # n x - m
                     factors *= factors
-                sums[first + i] = factors.dot(row)
-            del w, m, row, m_row, factors  # as _basis_blocks does, before the next block
+                sums[i] = factors.dot(row)
+            del m, w, rows, row, factors  # so the next block is built with only its own arrays alive
+            start = stop
     return sums
 
 
@@ -543,19 +525,16 @@ def primitive_approximant(f: Evaluatable, n: int) -> BernsteinPoly:
 # Polynomial operations
 
 
-def _windows(table: np.ndarray, width: int, step: int = 1) -> np.ndarray:
-    """Read-only view whose row r is table[r], table[r + step], ... (width entries).
+def _windows(table: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view whose row r is table[r : r + width].
 
-    With step -1, row r runs down from table[r + width - 1] instead.  A
-    strided view like sliding_window_view's, built in a microsecond.
+    A strided view like sliding_window_view's, built in a microsecond.
     """
-    first = 0 if step == 1 else width - 1
     rows = np.ndarray(
         (table.size - width + 1, width),
         dtype=table.dtype,
         buffer=table,
-        offset=first * table.itemsize,
-        strides=(table.itemsize, step * table.itemsize),
+        strides=(table.itemsize, table.itemsize),
     )
     rows.flags.writeable = False
     return rows
@@ -606,10 +585,10 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
     down[first - lo : stop - lo] = (m + 1.0) / (n - m)
     # Table position t holds index t + lo.  At k = mode - lo, row k of
     # up_rows holds up[mode], up[mode + 1], ...; row k - half of down_rows
-    # holds down[mode - 1], down[mode - 2], ...; and row k - half of a
-    # row's windows holds the window's halved coefficients.
+    # holds down[mode - half] .. down[mode - 1], read in reverse; and row
+    # k - half of a row's windows holds the window's halved coefficients.
     up_rows = _windows(up, half)
-    down_rows = _windows(down, half, -1)
+    down_rows = _windows(down, half)
     at = modes - lo
     per_row = []  # (windows, the halved coefficient at each mode, sums)
     for row in rows:
@@ -628,7 +607,7 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
         steps *= r
         np.cumprod(steps, axis=1, out=w[:, half + 1 :])
         k = k - half
-        steps = down_rows[k]
+        steps = down_rows[k][:, ::-1]
         steps /= r
         np.cumprod(steps, axis=1, out=w[:, half - 1 :: -1])
         w /= w.sum(axis=1, keepdims=True)

@@ -189,23 +189,20 @@ class _Parser:
         self.token = self.pull()  # the next token to read; eof is never read past
         self.depth = 0  # recursion depth of the descent in progress
 
-    def peek(self) -> _Token:
-        return self.token
-
     def advance(self) -> _Token:
         token = self.token
         self.token = self.pull()
         return token
 
     def expect_op(self, op: str) -> None:
-        token = self.peek()
+        token = self.token
         if token.kind == "op" and token.text == op:
             self.advance()
             return
         raise _syntax_error(token.offset, f"'{op}'", token.describe())
 
     def at_op(self, *ops: str) -> bool:
-        token = self.peek()
+        token = self.token
         return token.kind == "op" and token.text in ops
 
     def check_depth(self, token: _Token, depth: int) -> int:
@@ -232,7 +229,7 @@ class _Parser:
         """
         node, height = self.parse_base()
         while True:
-            token = self.peek()
+            token = self.token
             level = _PRECEDENCE.get(token.text, 0)  # 0 for any other token
             if level < tightest:
                 return node, height
@@ -244,7 +241,7 @@ class _Parser:
             node, height = self.build(token, Binary(token.text, node, right), height, right_height)
 
     def parse_base(self) -> tuple[ExprAst, int]:
-        token = self.peek()
+        token = self.token
         if self.at_op("-"):
             self.advance()
             operand, height = self.descend(token, self.parse_base)
@@ -292,7 +289,7 @@ def parse(text: str) -> ExprAst:
     parser = _Parser(_tokens(text))
     try:
         node, _ = parser.parse_expr()
-        trailing = parser.peek()
+        trailing = parser.token
         if trailing.kind != "eof":
             raise _syntax_error(trailing.offset, "end of input", trailing.describe())
     except ParseError as error:

@@ -15,6 +15,7 @@ Oracles
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import warnings
@@ -152,7 +153,31 @@ class TestBasisEvalAccuracy:
                     assert relative_error(m, n, x) <= 5e-13, (m, x)
 
 
+# SHA-256 of basis_all(n, x).tobytes(), first 16 hex digits, at each x of
+# FROZEN_ROW_POINTS in turn: frozen rows from the naive product (n <= 50) and
+# Loader's form, at the endpoints, subnormal x and the last double below 1.
+FROZEN_ROW_POINTS = (0.0, 1.0, 5e-324, 1e-310, 0.3, 1.0 - 2**-53)
+FROZEN_ROW_DIGESTS = {
+    0: ("6c3c396ed6b5c36d",) * 6,
+    1: ("3239b05c38b825eb", "fc62429c3e69001d", "901ece7caf43139a",
+        "e252c19d052e5758", "9db0b09c85198a36", "0096ead3fc6cd254"),
+    50: ("7e8a9593ba23bd53", "0e3cd33d2fc5dd50", "6fb37566272ad0e3",
+         "f2650d9314e9da21", "f7b5b8ff77018f06", "032e76be4a2cff65"),
+    51: ("0defa84dc2c73c3c", "294569ff327d6057", "6ac5b7fdfe52f446",
+         "3d608dea5f10ef9b", "c5d9f7da0c26115a", "09b112b539acdb39"),
+    1000: ("f1f767bcef9abd99", "5ee8672ed3b7cbf8", "e2407f2e6935b61d",
+           "77e12a01324e55a9", "55c39396ce0b872a", "7246d2428b8fd598"),
+    100000: ("25c929b96afa0416", "d1dac5ecf1759f04", "5c6b71822f02bc69",
+             "00902ba48329a8f8", "cd102c497cc62c4d", "3e6261fe0a5f7003"),
+}
+
+
 class TestBasisAll:
+    @pytest.mark.parametrize("n", sorted(FROZEN_ROW_DIGESTS))
+    def test_frozen_row_bytes(self, n):
+        rows = [basis_all(n, x).tobytes() for x in FROZEN_ROW_POINTS]
+        assert tuple(hashlib.sha256(row).hexdigest()[:16] for row in rows) == FROZEN_ROW_DIGESTS[n]
+
     def test_frozen_rows(self):
         row1 = basis_all(1, 0.25)
         assert row1.tolist() == [0.75, 0.25]
@@ -337,14 +362,13 @@ class TestMomentSums:
 
     def test_blocks_stay_within_the_bound(self, monkeypatch):
         areas = []
-        blocks = core._basis_blocks
+        block = core._basis_block
 
         def counted(*args):
-            for block in blocks(*args):
-                areas.append(block[3].size)
-                yield block
+            areas.append(args[3].size)  # m, of the block's shape
+            return block(*args)
 
-        monkeypatch.setattr(core, "_basis_blocks", counted)
+        monkeypatch.setattr(core, "_basis_block", counted)
         ns, xs = draws(8, 2000)
         moment_sums(ns, xs, "partition")
         assert len(areas) > 1
@@ -438,8 +462,8 @@ class TestIntegerArguments:
 
     def test_draws_are_checked_before_any_is_walked(self, monkeypatch):
         # A bad draw past the first chunk raises before any block is built.
-        walked = []
-        monkeypatch.setattr(core, "_basis_blocks", lambda *args: walked.append(args) or iter(()))
+        walked, block = [], core._basis_block
+        monkeypatch.setattr(core, "_basis_block", lambda *a: walked.append(a[3].size) or block(*a))
         ns = [3] * (core._MOMENT_CHUNK + 1) + [0]
         with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             moment_sums(ns, [0.5] * len(ns), "first")

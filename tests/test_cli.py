@@ -393,14 +393,13 @@ class TestWork:
 
     def test_basis_blocks_stay_under_the_bound_at_the_grid_cap(self, capsys, monkeypatch):
         sizes = []
-        blocks = core._basis_blocks
+        block = core._basis_block
 
         def counted(*args):
-            for block in blocks(*args):
-                sizes.append(block[3].size)  # the block's padded weights
-                yield block
+            sizes.append(args[3].size)  # the block's padded weights
+            return block(*args)
 
-        monkeypatch.setattr(core, "_basis_blocks", counted)
+        monkeypatch.setattr(core, "_basis_block", counted)
         argv = ["identities", "--n-max", "100000", "--grid", "100001", "--seed", "3"]
         assert run_json(capsys, argv)["summary"]["passed"] is True
         assert sum(sizes) >= 3 * 100001  # every draw's row, padded
