@@ -380,9 +380,7 @@ def _window_half(n):
     of n x), so by Hoeffding's bound 2 exp(-2 t^2 / n) the weights outside
     it sum to under 1e-18.
     """
-    if isinstance(n, np.ndarray):
-        return np.ceil(4.6 * np.sqrt(n)).astype(np.intp) + 2
-    return math.ceil(4.6 * math.sqrt(n)) + 2
+    return np.ceil(4.6 * np.sqrt(n)).astype(np.intp) + 2
 
 
 def _basis_block(
@@ -572,7 +570,7 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
     x = xs[inner]
     odds = (x / (1.0 - x))[:, None]
     modes = np.minimum((x * (n + 1)).astype(np.intp), n)
-    half = _window_half(n)
+    half = int(_window_half(n))
     # Tables over the indices lo..hi that the windows reach.  Outside 0..n
     # the coefficients are 0 and so is every ratio that steps out of
     # range, which makes each weight there exactly 0.

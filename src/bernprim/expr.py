@@ -120,7 +120,6 @@ _OP = r"[-+*/^(),]"
 
 # One token after any whitespace.
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<number>{_NUMBER})|(?P<ident>{_IDENT})|(?P<op>{_OP}))")
-_KINDS = {group: kind for kind, group in _TOKEN_RE.groupindex.items()}
 
 # Up to 2**10 tokens from where a match starts, each read as _TOKEN_RE
 # reads it, then any whitespace.  Nothing follows the repetition, so a
@@ -131,14 +130,13 @@ _LEXICAL_RE = re.compile(rf"(?:\s*(?:{_NUMBER}|{_IDENT}|{_OP})){{0,{2**10}}}\s*"
 _BASE_EXPECTED = "number, 'x', '(', '-', or function name"
 
 
-def _lexical_error(text: str, start: int = 0) -> ParseError | None:
-    """The error for the first character that starts no token, from text[start] on; or None.
+def _lexical_error(text: str) -> ParseError | None:
+    """The error for the first character of text that starts no token, or None.
 
-    start must be where a token could start.  One regex scan in C, 2**10
-    tokens a match, where tokenizing the rest of a long text in Python
-    would cost a microsecond a token.
+    One regex scan in C, 2**10 tokens a match, where tokenizing a long
+    text in Python would cost a microsecond a token.
     """
-    end, previous = start, -1
+    end, previous = 0, -1
     while end != previous:  # stops at the first character that starts no token
         previous, end = end, _LEXICAL_RE.match(text, end).end()
     if end == len(text):
@@ -149,18 +147,13 @@ def _lexical_error(text: str, start: int = 0) -> ParseError | None:
 def _tokens(text: str) -> Iterator[_Token]:
     """The tokens of text, then eof, each made when the parser reads it.
 
-    The first character that starts no token raises its ParseError when
-    the parser reaches it.
+    text must have no lexical error, so the tokens reach its end but for
+    trailing whitespace.
     """
-    end = 0
     for match in iter(_TOKEN_RE.scanner(text).match, None):
-        group, end = match.lastindex, match.end()
+        kind = match.lastgroup
         # _make, unlike _Token(...), runs no Python-level __new__.
-        yield _Token._make((_KINDS[group], match[group], match.start(group) + 1))
-    if end < len(text):  # whitespace, or a character that starts no token
-        error = _lexical_error(text, end)
-        if error:
-            raise error
+        yield _Token._make((kind, match[kind], match.start(kind) + 1))
     yield _Token("eof", "", len(text) + 1)
 
 
@@ -280,20 +273,20 @@ class _Parser:
 def parse(text: str) -> ExprAst:
     """Parse an expression in x, or raise ParseError with a byte offset.
 
-    The parser reads tokens as it goes, so it stops tokenizing where the
-    text first fails, such as 101 parentheses into 3000.  A character
-    that starts no token still wins over any syntax or depth error, as
-    if the whole text were tokenized first: before such an error is
-    raised, one scan of the whole text looks for one.
+    One regex scan of the whole text first raises the error for a
+    character that starts no token, so that error wins over any syntax
+    or depth error, wherever it stands.  The parser then reads tokens as
+    it goes, so it stops tokenizing where the text first fails, such as
+    101 parentheses into 3000.
     """
+    error = _lexical_error(text)
+    if error:
+        raise error
     parser = _Parser(_tokens(text))
-    try:
-        node, _ = parser.parse_expr()
-        trailing = parser.token
-        if trailing.kind != "eof":
-            raise _syntax_error(trailing.offset, "end of input", trailing.describe())
-    except ParseError as error:
-        raise (_lexical_error(text) or error) from None
+    node, _ = parser.parse_expr()
+    trailing = parser.token
+    if trailing.kind != "eof":
+        raise _syntax_error(trailing.offset, "end of input", trailing.describe())
     return node
 
 
@@ -304,7 +297,8 @@ def parse(text: str) -> ExprAst:
 def _render(node: ExprAst) -> tuple[str, int]:
     """Return (text, precedence) with 4 meaning an atomic base."""
     if isinstance(node, Const):
-        return repr(node.value) if node.value >= 0 else f"({node.value!r})", 4
+        text = repr(node.value).replace("inf", "1e309")  # 1e309 parses as inf
+        return text if node.value >= 0 else f"({text})", 4
     if isinstance(node, Var):
         return "x", 4
     if isinstance(node, Unary):
@@ -370,8 +364,9 @@ def _evaluate(node: ExprAst, x: float | np.ndarray) -> float | np.ndarray:
     non-finite value at a Binary or Call node fail that node, whose
     message is built only then; constants, x and unary minus are not
     checked.  That is every node at a point and every subtree without x
-    in a batch; the others run _ARRAY_OPS, as _batch_evaluator says.
-    Binary, the most common inner node, is tested first.
+    in a batch; the others run _ARRAY_OPS, and check only what
+    _batch_evaluator says.  Binary, the most common inner node, is
+    tested first.
     """
     if isinstance(node, Binary):
         name, args = node.op, (_evaluate(node.left, x), _evaluate(node.right, x))
@@ -389,9 +384,11 @@ def _evaluate(node: ExprAst, x: float | np.ndarray) -> float | np.ndarray:
     if x.__class__ is not float and (
         isinstance(args[0], np.ndarray) or isinstance(args[-1], np.ndarray)
     ):
-        if name in _MASKING:
-            args = [_finite(a) if isinstance(a, np.ndarray) and a is not x else a for a in args]
-        return _ARRAY_OPS[name](*args)
+        values = _ARRAY_OPS[name](*args)
+        for a in args:
+            if a.__class__ is float and not math.isfinite(a) and not np.isfinite(values).all():
+                raise _BatchFailed
+        return values
     if name == "/" and args[1] == 0.0:
         raise _fail(node, x, "division by zero")
     try:
@@ -410,21 +407,9 @@ class _BatchFailed(Exception):
 _Operand = Union[np.ndarray, float]  # an operand without x is its value
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise _BatchFailed
-    return values
-
-
 def _each(operand: _Operand) -> Iterable[float]:
     """An array's values as Python floats, or a value without x repeated."""
     return memoryview(operand) if isinstance(operand, np.ndarray) else repeat(operand)
-
-
-def _divide(a: _Operand, b: _Operand) -> np.ndarray:
-    if (not b.all()) if isinstance(b, np.ndarray) else b == 0.0:
-        raise _BatchFailed
-    return np.divide(a, b)
 
 
 def _power(a: _Operand, b: _Operand) -> np.ndarray:
@@ -445,7 +430,7 @@ _ARRAY_OPS: dict[str, Callable[..., np.ndarray]] = {
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
-    "/": _divide,
+    "/": np.divide,
     "^": _power,
     "abs": np.abs,
     "min": lambda a, b: np.where(b < a, b, a),
@@ -453,32 +438,29 @@ _ARRAY_OPS: dict[str, Callable[..., np.ndarray]] = {
     **{name: _mapped(fn) for name, fn in UNARY_FUNCTIONS.items() if name != "abs"},
 }
 
-# The nodes that can turn a non-finite operand into a finite value:
-# a / inf, exp(-inf), inf^0, 0.5^inf, min(inf, x).  Every other node keeps
-# a non-finite operand non-finite (inf or nan), or math raises on it.
-_MASKING = {"/", "^", "exp", "min", "max"}
-
 
 def _batch_evaluator(node: ExprAst) -> Callable[[np.ndarray], np.ndarray | None]:
     """The tree's values at a 1-D array of points, or None if any node fails at any of them.
 
-    The walk on the array raises _BatchFailed, or the libm error, exactly
-    when it raises at some point of it: a zero divisor is checked at each
-    division, and a non-finite value at the root and at each operand of a
-    _MASKING node, which is as far as it can travel unchanged; x itself,
-    in [0, 1], needs no check.  So every value returned is finite, and
-    bit for bit the walk's at its point.  numpy's warnings are silenced.
+    The walk on the array raises exactly when it raises at some point of
+    it.  numpy's floating-point flags raise a zero divisor and any
+    non-finite value an operator makes from finite operands, and the
+    functions and ^ raise math's errors.  The flags miss an infinite
+    literal carried on (inf * x, inf / 0), so a node with one as an
+    operand checks its values, as does a constant root; x, in [0, 1],
+    needs none.  So every value returned is finite, and bit for bit the
+    walk's at its point.  Underflow is silent, as on Python floats.
     """
 
     def batch(xs: np.ndarray) -> np.ndarray | None:
-        with np.errstate(all="ignore"):
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             try:
                 values = _evaluate(node, xs)
-                if values is xs or not isinstance(values, np.ndarray):  # the root x, or no x
-                    values = np.full(xs.shape, values)
-                return _finite(values)
-            except (_BatchFailed, ValueError, OverflowError):
+            except (_BatchFailed, FloatingPointError, ValueError, OverflowError):
                 return None
+        if isinstance(values, np.ndarray):
+            return values.copy() if values is xs else values
+        return np.full(xs.shape, values) if math.isfinite(values) else None  # no x: a constant root
 
     return batch
 

@@ -461,6 +461,14 @@ class TestBatchFailures:
         assert code == 3
         assert err == "numeric failure: Simpson terms on [0, 0.2] overflow to -inf and +inf\n"
 
+    def test_infinite_constants_are_quoted_as_1e309(self, capsys):
+        code, _, err = run_cli(capsys, ["approx", "--expr", "min(x, 1e309)*x*1e309", "--n", "2"])
+        assert code == 3
+        assert err == (
+            "numeric failure: construction probe failed at x=0.0: evaluation of "
+            "'min(x, 1e309) * x * 1e309' failed at x=0.0: non-finite result nan\n"
+        )
+
 
 class TestReportSchema:
     @pytest.mark.parametrize(

@@ -136,6 +136,11 @@ ROUNDTRIP_CORPUS = [
     "x - -x",
     "2*-x",
     "min(x, x) + max(x, x)",
+    # Infinite constants, which repr() would print as 'inf'.
+    "1e309",
+    "-1e309",
+    "x*1e309",
+    "min(x, 1e309)",
 ]
 
 
@@ -446,6 +451,11 @@ class TestRoundTrip:
                 continue
             assert eval_ast(reparsed, x) == expected
 
+    def test_negative_constants_keep_their_parentheses_and_sign(self):
+        assert to_text(Const(-math.inf)) == "(-1e309)"
+        assert to_text(Const(-2.5)) == "(-2.5)"
+        assert to_text(Const(-0.0)) == "-0.0"
+
 
 _PRINTABLE_CONSTANTS = st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False)
 
@@ -609,6 +619,34 @@ class TestBatchEvaluation:
         tree = parse(text)
         assert _scalar_hexes(tree, [0.0, 0.5, 1.0]) is None
         assert _batch_evaluator(tree)(np.array([0.0, 0.5, 1.0])) is None
+
+    @pytest.mark.parametrize(
+        "text,fails",
+        [
+            ("1/(x - 1)", True),
+            ("1e308*x*10", True),
+            ("exp(800*x)", True),
+            ("x*1e309", True),
+            ("1/(1e309*x)", True),
+            ("1e309/(x - 1)", True),
+            ("min(x, 1e309)", False),
+            ("x/1e309", False),
+        ],
+    )
+    def test_flags_hold_at_every_remainder_length(self, text, fails):
+        # numpy runs a loop in SIMD lanes and then a remainder; at every
+        # length, a point that fails first, in the middle or last fails
+        # the batch, and leaves numpy's error settings as they were.
+        tree, errors = parse(text), np.geterr()
+        for size in range(1, 71):
+            for at in {0, size // 2, size - 1}:
+                xs = (np.arange(size) + 1.0) / 2**12
+                xs[at] = 1.0
+                expected = _scalar_hexes(tree, xs.tolist())
+                assert (expected is None) == fails
+                values = _batch_evaluator(tree)(xs)
+                assert (None if values is None else [v.hex() for v in values.tolist()]) == expected
+                assert np.geterr() == errors
 
     @pytest.mark.parametrize("text", ["log(x)", "1/(x - 0.5)", "sqrt(x - 1)", "exp(800*x)", "1e400"])
     def test_failing_probe_batch_gives_the_scalar_message(self, text):
