@@ -10,10 +10,11 @@ The JSON report shape, also exposed as REPORT_SCHEMA, is
      "table": [[num]],
      "summary": {"max_error": num, "passed": bool}}
 
-CSV output carries the same report: '# key: <json>' metadata lines, then
-a header row, then one record per table row.  Extra command-specific
-fields live inside params and summary.  The identities subcommand has no
-expression or polynomial, so it reports expr "" and a degree-0 zero poly.
+CSV output carries the same report: '# key: <json>' metadata lines, then a
+header row, then one record per table row.  params holds the subcommand's
+flags but --emit, --out and --expr, in build_parser's order, then its
+other fields, then columns.  The identities subcommand has no expression
+or polynomial, so it reports expr "" and a degree-0 zero poly.
 
 Exit codes: 0 success, 1 a verification reported FAIL, 2 usage or parse
 error, 3 numeric failure.
@@ -119,18 +120,23 @@ def _max_gap(values: np.ndarray, reference: list[float]) -> float:
     return float(np.max(np.abs(values - reference)))
 
 
+_NOT_PARAMS = ("command", "run", "emit", "out", "expr")  # the parsed keys that are not params
+
+
 def _report(
     args: argparse.Namespace,
-    params: dict,
+    columns: list[str],
     poly: BernsteinPoly,
     table: list[list[float]],
     summary: dict,
+    **extras,
 ) -> dict:
     """The report every subcommand emits; see REPORT_SCHEMA."""
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
     return {
         "command": args.command,
         "expr": getattr(args, "expr", ""),
-        "params": params,
+        "params": {**params, **extras, "columns": columns},
         "poly": poly.to_dict(),
         "table": table,
         "summary": summary,
@@ -141,22 +147,16 @@ def _report(
 # Subcommands
 
 
-def cmd_approx(args: argparse.Namespace) -> dict:
-    f = to_real_function(parse(args.expr))
+def cmd_approx(args: argparse.Namespace, f: RealFunction) -> dict:
     fn = bernstein_approximant(f, args.n)
     xs, fx = _tabulate(args.samples, f)
     rows = [[x, y, a, abs(y - a)] for x, y, a in zip(xs, fx, poly_values(fn, xs).tolist())]
     max_error = max(row[3] for row in rows)
-    params = {
-        "n": args.n,
-        "samples": args.samples,
-        "columns": ["x", "f", "f_n", "abs_error"],
-    }
-    return _report(args, params, fn, rows, {"max_error": max_error, "passed": True})
+    columns = ["x", "f", "f_n", "abs_error"]
+    return _report(args, columns, fn, rows, {"max_error": max_error, "passed": True})
 
 
-def cmd_primitive(args: argparse.Namespace) -> dict:
-    f = to_real_function(parse(args.expr))
+def cmd_primitive(args: argparse.Namespace, f: RealFunction) -> dict:
     fn_primitive = primitive_approximant(f, args.n)
     xs, oracle, fx = _tabulate(args.samples, f, args.panels)
     h = args.fd_h
@@ -167,19 +167,13 @@ def cmd_primitive(args: argparse.Namespace) -> dict:
     max_error = max(row[3] for row in rows)
     at = dict(zip(stencil, values[len(xs) :]))
     deriv_residuals = [abs(central_difference(at.__getitem__, xs[i], h) - fx[i]) for i in inner]
-    params = {
-        "n": args.n,
-        "samples": args.samples,
-        "panels": args.panels,
-        "fd_h": args.fd_h,
-        "columns": ["x", "F_n", "simpson_oracle", "abs_difference"],
-    }
+    columns = ["x", "F_n", "simpson_oracle", "abs_difference"]
     summary = {
         "max_error": max_error,
         "passed": True,
         "derivative_check_max": max(deriv_residuals) if deriv_residuals else 0.0,
     }
-    return _report(args, params, fn_primitive, rows, summary)
+    return _report(args, columns, fn_primitive, rows, summary)
 
 
 def _derivative_residual(rng: random.Random, n_max: int, grid: int) -> float:
@@ -213,23 +207,16 @@ def cmd_identities(args: argparse.Namespace) -> dict:
         [float(index), residual, tolerance, 1.0 if residual < tolerance else 0.0]
         for index, (residual, tolerance) in enumerate(zip(worst, IDENTITY_TOLERANCES))
     ]
-    params = {
-        "n_max": args.n_max,
-        "grid": args.grid,
-        "seed": args.seed,
-        "draws_per_identity": args.grid,
-        "identities": IDENTITY_NAMES,
-        "columns": ["identity_index", "max_residual", "tolerance", "passed"],
-    }
+    columns = ["identity_index", "max_residual", "tolerance", "passed"]
     summary = {
         "max_error": max(row[1] for row in rows),
         "passed": all(row[3] == 1.0 for row in rows),
     }
-    return _report(args, params, BernsteinPoly(0, (0.0,)), rows, summary)
+    extras = {"draws_per_identity": grid, "identities": IDENTITY_NAMES}
+    return _report(args, columns, BernsteinPoly(0, (0.0,)), rows, summary, **extras)
 
 
-def cmd_converge(args: argparse.Namespace) -> dict:
-    f = to_real_function(parse(args.expr))
+def cmd_converge(args: argparse.Namespace, f: RealFunction) -> dict:
     xs, oracle, fx = _tabulate(args.grid, f, args.panels)
     table = []
     for n in args.degrees:
@@ -240,22 +227,16 @@ def cmd_converge(args: argparse.Namespace) -> dict:
         math.log(e_a / e_b) / math.log(n_b / n_a) if e_a > 0.0 and e_b > 0.0 else 0.0
         for (n_a, e_a, _), (n_b, e_b, _) in zip(table, table[1:])
     ]
-    params = {
-        "degrees": args.degrees,
-        "grid": args.grid,
-        "panels": args.panels,
-        "columns": ["degree", "sup_error_fn", "sup_error_Fn"],
-    }
+    columns = ["degree", "sup_error_fn", "sup_error_Fn"]
     summary = {"max_error": table[-1][1], "passed": True, "empirical_rates": rates}
-    return _report(args, params, fn, table, summary)
+    return _report(args, columns, fn, table, summary)
 
 
-def cmd_bound(args: argparse.Namespace) -> dict:
-    f = to_real_function(parse(args.expr))
+def cmd_bound(args: argparse.Namespace, f: RealFunction) -> dict:
     xs, fx = _tabulate(args.grid, f)
     sup_estimate = float(np.max(np.abs(fx)))
     sup_used = SUP_SAFETY * sup_estimate
-    delta = args.delta if args.delta is not None else lipschitz_delta(args.lipschitz, args.eps)
+    delta = lipschitz_delta(args.lipschitz, args.eps) if args.delta_flag is None else args.delta_flag
     try:
         # The zero function is reproduced at any degree.
         degree = 1 if sup_used == 0.0 else required_degree(sup_used, args.eps, delta)
@@ -269,14 +250,7 @@ def cmd_bound(args: argparse.Namespace) -> dict:
         raise UsageError(f"required degree {shown} exceeds the supported maximum {MAX_DEGREE}")
     fn = bernstein_approximant(f, degree)
     measured = _max_gap(poly_values(fn, xs), fx)
-    params = {
-        "eps": args.eps,
-        "delta_flag": args.delta,
-        "lipschitz": args.lipschitz,
-        "grid": args.grid,
-        "sup_safety": SUP_SAFETY,
-        "columns": ["eps", "delta", "required_degree", "measured_sup_error"],
-    }
+    columns = ["eps", "delta", "required_degree", "measured_sup_error"]
     summary = {
         "max_error": measured,
         "passed": measured < args.eps,
@@ -285,7 +259,8 @@ def cmd_bound(args: argparse.Namespace) -> dict:
         "sup_bound_used": sup_used,
         "required_degree": degree,
     }
-    return _report(args, params, fn, [[args.eps, delta, float(degree), measured]], summary)
+    table = [[args.eps, delta, float(degree), measured]]
+    return _report(args, columns, fn, table, summary, sup_safety=SUP_SAFETY)
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +293,10 @@ def _emit_csv(report: dict) -> str:
     lines = []
     for key in ("command", "expr", "params", "poly", "summary"):
         lines.append(f"# {key}: {json.dumps(report[key], allow_nan=False)}")
-    columns = report["params"].get("columns", [])
-    lines.append(",".join(columns))
+    lines.append(",".join(report["params"]["columns"]))
     for row in report["table"]:
         lines.append(",".join(repr(float(cell)) for cell in row))
     return "\n".join(lines) + "\n"
-
-
-def _emit(report: dict, emit: str) -> str:
-    if emit == "json":
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    return _emit_csv(report)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = add("bound", cmd_bound, "degree sufficient for a target sup error")
     p_bound.add_argument("--eps", type=_real_in(), required=True)
     step = p_bound.add_mutually_exclusive_group(required=True)
-    step.add_argument("--delta", type=_real_in(1.0), default=None)
+    step.add_argument("--delta", type=_real_in(1.0), dest="delta_flag", metavar="DELTA")
     step.add_argument("--lipschitz", type=_real_in(), default=None)
     p_bound.add_argument("--grid", type=_count, default=1001)
 
@@ -475,7 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.run(args)
+        # f is parsed and probed once, here, for the subcommands that take --expr.
+        functions = [to_real_function(parse(args.expr))] if args.command in EXPR_COMMANDS else []
+        report = args.run(args, *functions)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -489,7 +459,10 @@ def main(argv: list[str] | None = None) -> int:
     if non_finite:
         print(f"numeric failure: report field {non_finite}", file=sys.stderr)
         return 3
-    text = _emit(report, args.emit)
+    if args.emit == "json":
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    else:
+        text = _emit_csv(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

@@ -330,7 +330,11 @@ def _render(node: ExprAst) -> tuple[str, int]:
 
 
 def to_text(node: ExprAst) -> str:
-    """Render the tree back to source; reparsing gives an identical tree."""
+    """Render the tree back to source.
+
+    Reparsing gives an identical tree for any tree parse builds, and else
+    the same value bit for bit: a negative Const comes back as -magnitude.
+    """
     return _render(node)[0]
 
 
@@ -340,7 +344,7 @@ def to_text(node: ExprAst) -> str:
 
 def _fail(node: ExprAst, x: float | np.ndarray, reason: str) -> Exception:
     if isinstance(x, np.ndarray):  # a subtree without x failed a batch, which reads no message
-        return _BatchFailed()
+        return FloatingPointError()
     return EvaluationError(f"evaluation of '{to_text(node)}' failed at x={x!r}: {reason}")
 
 
@@ -387,7 +391,7 @@ def _evaluate(node: ExprAst, x: float | np.ndarray) -> float | np.ndarray:
         values = _ARRAY_OPS[name](*args)
         for a in args:
             if a.__class__ is float and not math.isfinite(a) and not np.isfinite(values).all():
-                raise _BatchFailed
+                raise FloatingPointError
         return values
     if name == "/" and args[1] == 0.0:
         raise _fail(node, x, "division by zero")
@@ -398,10 +402,6 @@ def _evaluate(node: ExprAst, x: float | np.ndarray) -> float | np.ndarray:
     if not math.isfinite(value):
         raise _fail(node, x, f"non-finite result {value!r}")
     return value
-
-
-class _BatchFailed(Exception):
-    """A node failed at some point of a batch; RealFunction then finds the first such point."""
 
 
 _Operand = Union[np.ndarray, float]  # an operand without x is its value
@@ -456,7 +456,7 @@ def _batch_evaluator(node: ExprAst) -> Callable[[np.ndarray], np.ndarray | None]
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             try:
                 values = _evaluate(node, xs)
-            except (_BatchFailed, FloatingPointError, ValueError, OverflowError):
+            except (FloatingPointError, ValueError, OverflowError):
                 return None
         if isinstance(values, np.ndarray):
             return values.copy() if values is xs else values

@@ -581,6 +581,51 @@ class TestReportSchema:
         assert report["table"][0][:3] == [0.5, 0.25, 65.0]
 
 
+class TestParamsFromFlags:
+    """Every report's params are its subcommand's flags in declaration order, then its extras."""
+
+    # Each argv gives its flags in the reverse of build_parser's order.
+    ARGVS = {
+        "approx": ["--samples", "3", "--n", "2", "--expr", "x", "--emit", "json"],
+        "primitive": ["--fd-h", "0.01", "--panels", "4", "--samples", "3", "--n", "2", "--expr", "x"],
+        "identities": ["--seed", "1", "--grid", "5", "--n-max", "3", "--emit", "json"],
+        "converge": ["--panels", "2", "--grid", "3", "--degrees", "1,2", "--expr", "x"],
+        "bound": ["--grid", "3", "--lipschitz", "1", "--eps", "0.5", "--expr", "x"],
+    }
+    EXTRAS = {"identities": ["draws_per_identity", "identities"], "bound": ["sup_safety"]}
+
+    @staticmethod
+    def flag_dests(command):
+        (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        actions = subparsers.choices[command]._actions
+        return [a.dest for a in actions if a.dest not in ("help", "emit", "out", "expr")]
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_params_keys_follow_the_parser(self, capsys, command):
+        report = run_json(capsys, [command, *self.ARGVS[command]])
+        expected = self.flag_dests(command) + self.EXTRAS.get(command, []) + ["columns"]
+        assert list(report["params"]) == expected
+
+    def test_bound_reports_the_flag_not_given_as_null(self, capsys):
+        params = run_json(capsys, ["bound", *self.ARGVS["bound"]])["params"]
+        assert (params["delta_flag"], params["lipschitz"]) == (None, 1.0)
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_expr_is_parsed_and_probed_once(self, capsys, monkeypatch, command):
+        calls = {"parse": 0, "to_real_function": 0}
+        for name in calls:
+            wrapped = getattr(cli, name)
+
+            def counted(*args, name=name, wrapped=wrapped):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        run_json(capsys, [command, *self.ARGVS[command]])
+        once = int(command in cli.EXPR_COMMANDS)
+        assert calls == {"parse": once, "to_real_function": once}
+
+
 class TestCsvCarrier:
     def test_csv_agrees_with_json(self, capsys):
         argv_tail = ["approx", "--expr", "x^2", "--n", "6", "--samples", "4"]

@@ -554,6 +554,36 @@ def _scalar_hexes(tree, xs):
     return [v.hex() for v in values] if all(map(math.isfinite, values)) else None
 
 
+# Negative constants, which only code builds: parse reads -c as unary minus of c.
+_NEGATIVE_CONSTANTS = st.one_of(
+    st.sampled_from([-0.0, -math.inf, -1e308, -5e-324, -1.0, -2.0, -0.5]),
+    st.floats(max_value=-0.0, allow_nan=False),
+)
+
+
+def _point_hexes(tree, xs):
+    """float.hex of the walk's value at each x, or None where it raises."""
+    hexes = []
+    for x in xs:
+        try:
+            hexes.append(float(_evaluate(tree, x)).hex())
+        except EvaluationError:
+            hexes.append(None)
+    return hexes
+
+
+class TestNegativeConstants:
+    @given(tree=_ast_trees(_NEGATIVE_CONSTANTS, max_leaves=12), xs=_POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_reparsed_text_keeps_the_value_bit_for_bit(self, tree, xs):
+        # The same value, or a failure, at every point.
+        assert _point_hexes(parse(to_text(tree)), xs) == _point_hexes(tree, xs)
+
+    @pytest.mark.parametrize("value", [-0.0, -math.inf, -2.5])
+    def test_a_negative_const_reparses_as_unary_minus(self, value):
+        assert parse(to_text(Const(value))) == Unary("-", Const(-value))
+
+
 class TestBatchEvaluation:
     """The walk on an array of points against the walk at each point, bit for bit."""
 
