@@ -10,6 +10,13 @@ The JSON report shape, also exposed as REPORT_SCHEMA, is
      "table": [[num]],
      "summary": {"max_error": num, "passed": bool}}
 
+JSON output is the text json.dumps(report, indent=2, allow_nan=False)
+gives, byte for byte, written by _json: each float is its repr, the
+shortest text that reads back to the same double, and a list of floats
+is one str.join over them, so a report of degree n costs about n + 1
+float reprs (json.dumps itself falls back to its pure-Python encoder
+when it indents).
+
 CSV output carries the same report: '# key: <json>' metadata lines, then a
 header row, then one record per table row.  params holds the subcommand's
 flags but --emit, --out and --expr, in build_parser's order, then its
@@ -29,6 +36,7 @@ import math
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -38,8 +46,9 @@ from .core import (
     BernsteinPoly,
     EvaluationError,
     RealFunction,
-    basis_derivative,
-    basis_eval,
+    _basis_weight,
+    basis_derivative,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
+    basis_eval,  # noqa: F401 -- unused here; perfbench/tracer.py wraps it too
     bernstein_approximant,
     eval_poly,  # noqa: F401 -- unused here; perfbench/tracer.py wraps bernprim.cli.eval_poly
     lipschitz_delta,
@@ -180,9 +189,12 @@ def _derivative_residual(rng: random.Random, n_max: int, grid: int) -> float:
     """One draw of identity 0: the basis derivative against a central difference."""
     n = rng.randint(1, min(50, n_max))
     m = rng.randint(0, n)
-    x = rng.randint(1, grid - 2) / (grid - 1)
-    fd = central_difference(lambda t: basis_eval(m, n, t), x, 1e-6)
-    return abs(basis_derivative(m, n, x) - fd)
+    x = rng.randint(1, grid - 2) / (grid - 1)  # x +- h stays in [0, 1]: grid <= MAX_DEGREE + 1
+    h = 1e-6
+    # central_difference and basis_derivative, on the unchecked weights:
+    # the draws are in range by construction.
+    fd = (_basis_weight(m, n, x + h) - _basis_weight(m, n, x - h)) / (2.0 * h)
+    return abs(n * (_basis_weight(m - 1, n - 1, x) - _basis_weight(m, n - 1, x)) - fd)
 
 
 def cmd_identities(args: argparse.Namespace) -> dict:
@@ -287,6 +299,39 @@ def _non_finite_field(value, path: str = "") -> str | None:
         if found:
             return found
     return None
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, allow_nan=False), byte for byte, for a value free of nan and inf.
+
+    main checks that with _non_finite_field first.  indent is the newline
+    and indentation before value's closing bracket, and dict keys must be
+    str.  A list of floats is one str.join over float.__repr__, the text
+    json.dumps writes for each; any other list, and each dict, goes item
+    by item.  A value of another type raises TypeError, as in json.dumps.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        # encode_basestring_ascii refuses a key that is not a str.
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    try:
+        items = ("," + inner).join(map(float.__repr__, value))
+    except TypeError:  # not a list of floats
+        items = ("," + inner).join(_json(item, inner) for item in value)
+    return "[" + inner + items + indent + "]"
 
 
 def _emit_csv(report: dict) -> str:
@@ -460,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: report field {non_finite}", file=sys.stderr)
         return 3
     if args.emit == "json":
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        text = _json(report) + "\n"
     else:
         text = _emit_csv(report)
     if args.out:

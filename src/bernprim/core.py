@@ -69,10 +69,14 @@ _STIRLERR = (
 )
 
 # moment_sums and _window_values walk in blocks of at most this many
-# (padded) weights: 64 KB arrays, under glibc's 128 KB mmap threshold (blocks
-# of 15 * 2**10 weights already cost hundreds of page faults per call); on a
-# 2-CPU x86 host they ran faster than blocks of 2**12.
-_BASIS_BLOCK = 2**13
+# (padded) weights: arrays of at most 128 KB, glibc's mmap threshold.  On a
+# 2-CPU x86 host, 1001 points of _window_values in blocks of 2**14 in one
+# reused workspace took 0.86 ms at degree 65, 2.96 at 1155, 8.2 at 8081 and
+# 31 at 1e5, against 1.38, 4.15, 9.1 and 40 ms in blocks of 2**13 allocated
+# afresh.  Minor page faults per call (getrusage, ten calls after the first)
+# went 0 -> 0 at 1155, 0 -> 92 at 8081, where a block array is about 127 KB,
+# and 570 -> 569 at 1e5; a first call at 1155 takes 35 against 2.
+_BASIS_BLOCK = 2**14
 
 # moment_sums sorts and tabulates this many draws at a time, so its
 # bookkeeping stays small at any grid: `identities --n-max 100000 --grid
@@ -579,12 +583,13 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
     m = np.arange(first, stop, dtype=float)
     up = np.zeros(hi - lo + 1)  # b_{m+1} / b_m / odds
     up[first - lo : stop - lo] = (n - m) / (m + 1.0)
-    down = np.zeros(hi - lo + 1)  # b_m / b_{m+1} * odds
-    down[first - lo : stop - lo] = (m + 1.0) / (n - m)
-    # Table position t holds index t + lo.  At k = mode - lo, row k of
-    # up_rows holds up[mode], up[mode + 1], ...; row k - half of down_rows
-    # holds down[mode - half] .. down[mode - 1], read in reverse; and row
-    # k - half of a row's windows holds the window's halved coefficients.
+    down = np.zeros(hi - lo + 1)  # b_m / b_{m+1} * odds, stored from index hi down to lo
+    down[::-1][first - lo : stop - lo] = (m + 1.0) / (n - m)
+    # Table position t holds index t + lo, and down's holds index hi - t.
+    # At k = mode - lo, row k of up_rows holds up[mode], up[mode + 1], ...;
+    # row up.size - k of down_rows holds down[mode - 1], down[mode - 2],
+    # ..., down[mode - half]; and row k - half of a row's windows holds
+    # the window's halved coefficients.
     up_rows = _windows(up, half)
     down_rows = _windows(down, half)
     at = modes - lo
@@ -593,27 +598,30 @@ def _window_values(rows: Sequence[tuple[float, ...]], xs: np.ndarray) -> list[np
         halved = np.zeros(hi - lo + 1)
         halved[first - lo : n + 1 - lo] = 0.5 * np.array(row[first : hi + 1])
         per_row.append((_windows(halved, 2 * half + 1), halved[at], np.empty(at.size)))
-    block = max(1, _BASIS_BLOCK // (2 * half + 1))
+    # One workspace for every block: the weights and their row sums.
+    block = min(max(1, _BASIS_BLOCK // (2 * half + 1)), at.size)
+    weights, totals = np.empty((block, 2 * half + 1)), np.empty((block, 1))
     for start in range(0, at.size, block):
         points = slice(start, start + block)
         k, r = at[points], odds[points]
-        w = np.empty((k.size, 2 * half + 1))
+        w, total = weights[: k.size], totals[: k.size]
         w[:, half] = 1.0
         # Outward from the mode: b_{m+1} = b_m * up[m] * odds above it,
         # b_{m-1} = b_m * down[m-1] / odds below it.
         steps = up_rows[k]
         steps *= r
-        np.cumprod(steps, axis=1, out=w[:, half + 1 :])
-        k = k - half
-        steps = down_rows[k][:, ::-1]
+        np.multiply.accumulate(steps, axis=1, out=w[:, half + 1 :])
+        steps = down_rows[up.size - k]
         steps /= r
-        np.cumprod(steps, axis=1, out=w[:, half - 1 :: -1])
-        w /= w.sum(axis=1, keepdims=True)
+        np.multiply.accumulate(steps, axis=1, out=w[:, half - 1 :: -1])
+        np.add.reduce(w, axis=1, keepdims=True, out=total)
+        w /= total
+        k = k - half
         for windows, refs, sums in per_row:
             spread = windows[k]
             spread -= refs[points, None]
             spread *= w
-            sums[points] = spread.sum(axis=1)
+            np.add.reduce(spread, axis=1, out=sums[points])
     for row_values, (_, refs, sums) in zip(values, per_row):
         sums += refs
         row_values[inner] = 2.0 * sums

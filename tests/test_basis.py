@@ -360,6 +360,17 @@ class TestMomentSums:
             sums = moment_sums([ns[i] for i in order], [xs[i] for i in order], kind)
             assert [sums[k].hex() for k in sorted(range(len(order)), key=order.__getitem__)] == alone[kind]
 
+    def test_the_block_budget_cannot_change_a_sum(self, monkeypatch):
+        # _BASIS_BLOCK decides which draws share a block, never a draw's
+        # arithmetic: every budget gives the same bits, kinds mixed.
+        ns, xs = draws(10, 300)
+        kinds = [random.Random(i + 1).choice(KINDS) for i in range(len(ns))]
+        sums = set()
+        for budget in (2**10, 2**12, 2**14, 2**15):
+            monkeypatch.setattr(core, "_BASIS_BLOCK", budget)
+            sums.add(tuple(map(float.hex, moment_sums(ns, xs, kinds).tolist())))
+        assert len(sums) == 1
+
     def test_blocks_stay_within_the_bound(self, monkeypatch):
         areas = []
         block = core._basis_block

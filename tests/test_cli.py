@@ -747,6 +747,54 @@ class TestGoldens:
         assert out == expected
 
 
+def _report_of(argv: list[str]) -> dict:
+    """The report main would emit for argv, built as main builds it."""
+    args = cli._parser().parse_args(argv)
+    functions = [cli.to_real_function(cli.parse(args.expr))] if args.command in cli.EXPR_COMMANDS else []
+    return args.run(args, *functions)
+
+
+_JSON_TEXT = st.text(st.characters(codec=None), max_size=6)  # control, non-ASCII, astral
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e22, 0.1, 1.7976931348623157e308]
+)
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | _JSON_FLOATS | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(_JSON_FLOATS, max_size=5).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJson:
+    """cli._json writes what json.dumps(indent=2, allow_nan=False) writes, byte for byte."""
+
+    @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+    def test_golden_reports(self, name, argv):
+        report = _report_of(argv)
+        assert cli._json(report) == json.dumps(report, indent=2, allow_nan=False)
+
+    @given(value=_JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_value(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [[], {}, (), [[]], {"a": {}}, [1.0, [], 2], ["\x00\u00e9\U0001f600"]])
+    def test_empty_containers_and_escapes(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [{"a": {1, 2}}, [1.0, {1}], np.float32(1.0)])
+    def test_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
 class TestOutputFile:
     def test_out_writes_file_instead_of_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"

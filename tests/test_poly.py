@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bernprim.core as core
 from bernprim import (
     BernsteinPoly,
     antiderivative_poly,
@@ -305,13 +306,28 @@ class TestPrimitiveFromOneWalk:
             alone = np.hstack([_window_values(rows, np.array([x])) for x in xs.tolist()])
             assert np.array(_window_values(rows, xs)).tolist() == alone.tolist(), size
 
+    @pytest.mark.parametrize("degree", [1, 65, 1160, 8081])
+    def test_the_block_budget_cannot_change_a_value(self, monkeypatch, degree):
+        # _BASIS_BLOCK decides which points share a block, never a point's
+        # arithmetic: every budget gives the same bits, for one row and two.
+        poly, primitive = _walked(degree, degree + 4)
+        xs = np.random.default_rng(degree).uniform(0.0, 1.0, 1001)
+        xs = np.concatenate([xs, [0.0, 5e-324, 1e-9, 1.0 - 2.0**-53, 1.0]])
+        values = set()
+        for budget in (2**10, 2**12, 2**14, 2**15):
+            monkeypatch.setattr(core, "_BASIS_BLOCK", budget)
+            one = _window_values((poly.coeffs,), xs)
+            two = _window_values((poly.coeffs, primitive.coeffs[:-1]), xs)
+            values.add(tuple(map(float.hex, np.concatenate([*one, *two]).tolist())))
+        assert len(values) == 1
+
     @pytest.mark.parametrize("degree", [1000, 8081])
     def test_block_temporaries_stay_within_the_block_size(self, degree):
         # Windows for all points at once would take points * (2 half + 1)
         # weights per temporary: 38 MB at degree 1000 and 107 MB at 8081
         # for these 16001 points.  In blocks, the peak is the arrays of
         # one entry per point or per index and a few block temporaries of
-        # at most _BASIS_BLOCK weights (64 KB).
+        # at most _BASIS_BLOCK weights (128 KB).
         poly, _ = _walked(degree, degree)
         xs = np.random.default_rng(degree).uniform(0.0, 1.0, 16001)
         tracemalloc.start()
