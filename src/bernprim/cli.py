@@ -386,8 +386,8 @@ _panels = _int_in(2, MAX_DEGREE, even=True)
 
 def _degree_list(text: str) -> list[int]:
     """An argparse type for a comma-separated, strictly increasing list of degrees."""
-    degrees = [_degree(part) for part in text.split(",") if part]
-    if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
+    degrees = [_degree(part) for part in text.split(",")]
+    if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise argparse.ArgumentTypeError(
             f"must list at least one degree, strictly increasing, got {text!r}"
         )

@@ -105,6 +105,10 @@ class TestExitCodes:
             # Simpson panels above MAX_DEGREE, before any oracle row runs.
             ["primitive", "--expr", "x", "--n", "1", "--samples", "2", "--panels", "100002"],
             ["converge", "--expr", "x", "--degrees", "1", "--grid", "2", "--panels", "100002"],
+            # An empty item in a degree list is a typo, not a skipped degree.
+            ["converge", "--expr", "x", "--degrees", "4,,8"],
+            ["converge", "--expr", "x", "--degrees", ",4"],
+            ["converge", "--expr", "x", "--degrees", "4,8,"],
         ],
     )
     def test_usage_errors_are_two(self, capsys, argv):

@@ -4,6 +4,8 @@
   standard library, numpy and bernprim itself.
 * The quadrature oracles import nothing from the rest of bernprim, so
   their agreement with the Bernstein construction means something.
+* The package exports all of core's __all__ and eight named expr and
+  quadrature entries, each as its defining module's object.
 """
 
 from __future__ import annotations
@@ -44,3 +46,23 @@ def test_quadrature_imports_nothing_of_bernprim():
     found = imports(PACKAGE / "quadrature.py")
     assert [module for level, module in found if level > 0] == []
     assert [module for _, module in found if module.split(".")[0] == "bernprim"] == []
+
+
+EXPR_NAMES = ("ParseError", "eval_ast", "parse", "to_real_function", "to_text")
+QUADRATURE_NAMES = ("central_difference", "riemann_sum", "simpson")
+
+
+def test_the_package_exports_core_and_the_named_entries():
+    import bernprim
+    from bernprim import core, expr, quadrature
+
+    exported = bernprim.__all__
+    assert len(set(exported)) == len(exported)
+    assert sorted(exported) == sorted([*core.__all__, *EXPR_NAMES, *QUADRATURE_NAMES])
+    homes = {
+        **dict.fromkeys(core.__all__, core),
+        **dict.fromkeys(EXPR_NAMES, expr),
+        **dict.fromkeys(QUADRATURE_NAMES, quadrature),
+    }
+    for name in exported:
+        assert getattr(bernprim, name) is getattr(homes[name], name), name

@@ -3,7 +3,8 @@ derivatives, and the divided-difference construction.
 
 Oracle: `direct_sum` evaluates a coefficient vector against the basis
 weights one term at a time, bypassing the evaluation scheme under test;
-`mp_bernstein_sum` does the same in 40-digit arithmetic.
+`mp_bernstein_sum` does the same in 40-digit arithmetic.  The closed
+forms in `closed_forms.py` walk no weights at all.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bernprim.core as core
@@ -27,10 +28,13 @@ from bernprim import (
     derivative_poly,
     difference_quotient,
     eval_poly,
+    parse,
     poly_and_primitive_values,
     poly_values,
+    to_real_function,
 )
 from bernprim.core import _BASIS_BLOCK, _window_values
+from closed_forms import exponential, exponential_samples, kink_mean_deviation, kink_samples
 
 
 def direct_sum(coeffs, x: float) -> float:
@@ -368,6 +372,56 @@ class TestPrimitiveFromOneWalk:
         for outside in ([0.0, 1.5], [-0.5, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError):
                 poly_and_primitive_values(poly, np.array(outside))
+
+
+class TestClosedForms:
+    """f_n and F_n against closed forms of B_n, at degrees up to MAX_DEGREE.
+
+    The bound is derived, not tuned.  B_n is positive with unit sum, so
+    the samples' errors move f_n by at most max |c_m - f(m/n)|, measured
+    against the exact m/n, and F_n, their integral over [0, x], by no
+    more.  To that add the walk's rounding, 4 ulp of max |c| as in
+    TestPrimitiveFromOneWalk (|C_j| <= max |c|, and each C_j is rounded
+    once), and the weights beyond the window, under 1e-18 (_window_half).
+    """
+
+    _POINTS = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+
+    @staticmethod
+    def _bound(samples, exact) -> float:
+        scale = max(map(abs, samples))
+        largest = max(abs(c - e) for c, e in zip(samples, exact))
+        return float(largest) + 4 * 2.0**-52 * scale + 1e-18 * scale
+
+    @given(
+        lam=st.complex_numbers(max_magnitude=20.0),
+        part=st.sampled_from(["real", "imag"]),
+        n=st.floats(0.0, 4.0).map(lambda e: round(10.0**e)),
+        xs=st.lists(st.floats(0.0, 1.0), max_size=20),
+    )
+    @example(lam=1 + 3j, part="imag", n=100_000, xs=np.linspace(0.0, 1.0, 1001).tolist())
+    @settings(max_examples=40, deadline=None)
+    def test_exponentials(self, lam, part, n, xs):
+        # Re e^{lam x} = e^{ax} cos(bx) and Im e^{lam x} = e^{ax} sin(bx),
+        # sampled as the CLI samples an --expr; the fixed case is sin(3x) e^x.
+        trig = {"real": "cos", "imag": "sin"}[part]
+        f = to_real_function(parse(f"exp({lam.real!r}*x)*{trig}({lam.imag!r}*x)"))
+        poly = bernstein_approximant(f, n)
+        bound = self._bound(poly.coeffs, [getattr(s, part) for s in exponential_samples(lam, n)])
+        points = self._POINTS + xs
+        values, primitive = poly_and_primitive_values(poly, points)
+        for x, value, integral in zip(points, values.tolist(), primitive.tolist()):
+            f_n, F_n = exponential(lam, n, x)
+            assert abs(value - getattr(f_n, part)) <= bound, (x, value)
+            assert abs(integral - getattr(F_n, part)) <= bound, (x, integral)
+
+    @pytest.mark.parametrize("n", [26, 2501, 8081, 100_000])
+    @pytest.mark.parametrize("c", [0.5, 0.3])
+    def test_kink_at_its_corner(self, c, n):
+        poly = bernstein_approximant(to_real_function(parse(f"abs(x - {c!r})")), n)
+        bound = self._bound(poly.coeffs, kink_samples(n, c))
+        value = poly_values(poly, [c])[0]
+        assert abs(value - kink_mean_deviation(n, c) / n) <= bound, value
 
 
 class TestDerivativePoly:
